@@ -142,13 +142,14 @@ bench-trend:
 	$(GO) run ./cmd/cctrend -text $(LEDGER)
 	@echo wrote trend.html
 
-# Byte-provenance table (stdout) plus per-benchmark JSON/CSV/folded
-# audit files under audits/.
+# Byte-provenance table (stdout). The per-benchmark audit files ride in
+# the run bundles (`make bundle`): audit.json and audit.csv.
 sizeaudit:
-	$(GO) run ./cmd/experiments -run sizeaudit -sizeaudit audits
+	$(GO) run ./cmd/experiments -run sizeaudit
 
-# Run bundles: one flight-recorder directory per benchmark (nibble
-# options) plus a whole-run experiments/ bundle, under bundles/. Render
-# one with `go run ./cmd/ccreport bundles/<bench>.nibble`.
+# Run bundles: one flight-recorder directory per benchmark, natively and
+# under every registered codec, plus a whole-run experiments/ bundle,
+# under bundles/. Render one with `go run ./cmd/ccreport
+# bundles/<bench>.nibble`.
 bundle:
 	$(GO) run ./cmd/experiments -run table1 -bundle bundles

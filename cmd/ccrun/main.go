@@ -5,45 +5,35 @@
 //
 //	ccrun prog.ppx
 //	ccrun -steps 1e8 -cache 1024 prog.ppz
-//	ccrun -cache 1024 -profile run.json prog.ppz   # JSON execution profile
-//	ccrun -guestprof prog.ppz                      # per-function cycle table
-//	ccrun -guestprof -folded out.folded prog.ppz   # flamegraph input
-//	ccrun -sampledprof prog.ppz                    # fast-path sampled profile
-//	ccrun -sizeaudit prog.ppz                      # static byte-provenance audit
-//	ccrun -bundle out.bundle prog.ppz              # everything, as one run bundle
+//	ccrun -trace 20 prog.ppz                       # disassemble the first 20 steps
+//	ccrun -bundle out.bundle prog.ppz              # run bundle: profiles, audit, stats
+//
+// A run bundle holds the execution profile (profile.json), the exact
+// per-function guest profile (guest.json, guest.folded) and, for
+// dictionary images, the byte-provenance audit (audit.json, audit.csv);
+// ccreport -text renders them as tables.
 package main
 
 import (
 	"flag"
 	"fmt"
-	"io"
 	"os"
 	"strings"
 
 	"repro/internal/cache"
 	"repro/internal/codec"
 	"repro/internal/core"
-	"repro/internal/guestprof"
-	"repro/internal/machine"
 	"repro/internal/objfile"
 	"repro/internal/obs"
 	"repro/internal/ppc"
-	"repro/internal/sizeaudit"
-	"repro/internal/stats"
+	"repro/internal/program"
 )
 
 func main() {
 	maxSteps := flag.Int64("steps", 200_000_000, "step budget")
 	cacheSize := flag.Int("cache", 0, "simulate an I-cache of this many bytes (direct-mapped, 32B lines)")
 	trace := flag.Int("trace", 0, "print the first N executed instructions to stderr")
-	profile := flag.String("profile", "", "write a JSON execution profile (hot dictionary entries, expansion histogram, cache miss curve) to this path; \"-\" means stdout")
-	sample := flag.Int64("sample", 4096, "with -profile and -cache, record a cache miss-curve point every N line accesses")
-	guestProf := flag.Bool("guestprof", false, "attribute cycles to guest functions (exact, symbolized); prints a top-20 table to stderr and adds a \"guest\" section to -profile output")
-	sampledProf := flag.Bool("sampledprof", false, "attribute cycles to guest functions by epoch-sampling the fused fast path (flat-only, no slowdown); prints the fast-path summary and top table to stderr and fills the \"guest\" section of -profile output")
-	sizeAudit := flag.Bool("sizeaudit", false, "for .ppz inputs: print the image's byte-provenance audit to stderr and add a \"size\" section to -profile output")
-	folded := flag.String("folded", "", "with -guestprof, write folded call stacks (flamegraph input) to this path; \"-\" means stdout")
-	topN := flag.Int("top", 20, "with -guestprof, rows in the per-function table (0 = all)")
-	bundleDir := flag.String("bundle", "", "write a run bundle (stats, execution profile, guest profile, size audit) to this directory; one flag capturing what -profile/-guestprof/-folded/-sizeaudit produce piecemeal")
+	bundleDir := flag.String("bundle", "", "write a run bundle (stats, execution profile, guest profile, size audit) to this directory")
 	flag.Parse()
 
 	if flag.NArg() != 1 {
@@ -57,28 +47,10 @@ func main() {
 	}
 	defer f.Close()
 
-	var cpu *machine.CPU
-	var img *core.Image
-	var sym *guestprof.SymTab
-	var sa *sizeaudit.Audit
+	var exe codec.Executable
+	var p *program.Program
+	var audit codec.Auditable
 	id := obs.Identity{Bench: benchName(path)}
-	wantBundle := *bundleDir != ""
-	wantGuest := *guestProf || *folded != "" || (wantBundle && !*sampledProf)
-	if *sampledProf {
-		// The sampled profiler is the fast path observed from epoch
-		// boundaries; hooks that force the instrumented Step path defeat
-		// its point, so the combinations are rejected rather than silently
-		// measured slow.
-		switch {
-		case *guestProf || *folded != "":
-			fatal(fmt.Errorf("-sampledprof and -guestprof are mutually exclusive (exact profiling runs the instrumented path)"))
-		case *cacheSize > 0:
-			fatal(fmt.Errorf("-sampledprof cannot run with -cache (cache simulation needs the per-fetch hook)"))
-		case *trace > 0:
-			fatal(fmt.Errorf("-sampledprof cannot run with -trace (tracing needs the per-exec hook)"))
-		}
-	}
-	wantSym := wantGuest || *sampledProf
 	switch {
 	case strings.HasSuffix(path, ".ppz"):
 		// The frame's method byte selects the codec; no scheme flag needed.
@@ -86,128 +58,52 @@ func main() {
 		if err != nil {
 			fatal(err)
 		}
-		img, _ = oi.(*core.Image)
 		id.Method = uint8(oi.Method())
 		if c, err := codec.ByMethod(oi.Method()); err == nil {
 			id.Codec = c.Name()
 		}
-		if img != nil && img.Name != "" {
+		if img, ok := oi.(*core.Image); ok && img.Name != "" {
 			id.Bench = img.Name
 		}
-		if *sizeAudit || wantBundle {
-			// The audit reconstructs from the image's serialized sideband
-			// (the dictionary images' marks), so no recompression is needed.
-			// A bundle simply omits the section when the image carries no
-			// marks; the explicit flag keeps its hard error.
-			aud, ok := oi.(codec.Auditable)
-			if !ok && *sizeAudit {
-				fatal(fmt.Errorf("-sizeaudit: %T images carry no marks audit; use ccomp -audit on the source .ppx", oi))
-			}
-			if ok {
-				if sa, err = aud.SizeAudit(); err != nil {
-					fatal(err)
-				}
-			}
-		}
-		ex, ok := oi.(codec.Executable)
-		if !ok {
+		// Dictionary images reconstruct their audit from the serialized
+		// marks; a bundle of any other image omits the section.
+		audit, _ = oi.(codec.Auditable)
+		var ok bool
+		if exe, ok = oi.(codec.Executable); !ok {
 			fatal(fmt.Errorf("image codec cannot execute (%T is a size comparator)", oi))
 		}
-		cpu, err = ex.NewMachine()
-		if err != nil {
-			fatal(err)
-		}
-		if wantSym {
-			// Compressed runs symbolize through the image's address map, so
-			// cycles land on the original program's function names.
-			if img == nil {
-				if wantBundle && !*guestProf && *folded == "" {
-					// Bundles degrade gracefully: no address map, no guest
-					// section.
-					wantSym, wantGuest = false, false
-				} else {
-					fatal(fmt.Errorf("guest profiling needs a dictionary image; %T carries no address map", oi))
-				}
-			} else if sym, err = img.GuestSymTab(); err != nil {
-				fatal(err)
-			}
-		}
 	default:
-		p, err := objfile.ReadProgram(f)
-		if err != nil {
+		if p, err = objfile.ReadProgram(f); err != nil {
 			fatal(err)
-		}
-		if *sizeAudit {
-			fatal(fmt.Errorf("-sizeaudit needs a compressed .ppz image; %s is uncompressed", path))
 		}
 		id.Codec = "native"
 		if p.Name != "" {
 			id.Bench = p.Name
 		}
-		cpu, err = machine.NewForProgram(p)
-		if err != nil {
-			fatal(err)
-		}
-		if wantSym {
-			sym = guestprof.NewProgramSymTab(p)
-		}
 	}
 
 	var col *obs.Collector
-	if wantBundle {
+	if *bundleDir != "" {
 		col = obs.NewCollector(id)
-	}
-
-	var rec *stats.Recorder
-	var sp *guestprof.SampledProfiler
-	wantProfile := *profile != "" || wantBundle
-	if *sampledProf {
-		// One recorder serves both sampling and -profile; unlike cpu.Record
-		// it is not a hook, so the run stays on the fused fast path.
-		rec = col.Recorder()
-		if rec == nil {
-			rec = stats.New()
-		}
-		sp = guestprof.NewSampled(sym)
-		cpu.EnableEpochSampling(rec, sp)
-	} else if wantProfile {
-		rec = col.Recorder()
-		if rec == nil {
-			rec = stats.New()
-		}
-		cpu.Record = rec
-		if img != nil {
-			cpu.EnableHeat(len(img.Entries))
+		if audit != nil {
+			sa, err := audit.SizeAudit()
+			if err != nil {
+				fatal(err)
+			}
+			col.SetAudit(sa)
 		}
 	}
 
 	var ic *cache.Cache
-	var smp *cache.Sampler
 	if *cacheSize > 0 {
-		ic, err = cache.New(cache.Config{SizeBytes: *cacheSize, LineBytes: 32, Assoc: 1})
-		if err != nil {
+		if ic, err = cache.New(cache.Config{SizeBytes: *cacheSize, LineBytes: 32, Assoc: 1}); err != nil {
 			fatal(err)
 		}
-		cpu.TraceFetch = ic.Access
-		if wantProfile {
-			smp, err = cache.NewSampler(ic, *sample)
-			if err != nil {
-				fatal(err)
-			}
-			cpu.TraceFetch = smp.Access
-		}
 	}
-
-	var gp *guestprof.Profiler
-	if wantGuest {
-		gp = guestprof.New(sym)
-		gp.ObserveCache(ic)
-		gp.Attach(cpu)
-	}
-
+	var traceExec func(cia, word uint32)
 	if *trace > 0 {
 		left := *trace
-		cpu.TraceExec = func(cia uint32, word uint32) {
+		traceExec = func(cia uint32, word uint32) {
 			if left > 0 {
 				fmt.Fprintf(os.Stderr, "  %08x: %s\n", cia, ppc.Disassemble(word))
 				left--
@@ -215,13 +111,10 @@ func main() {
 		}
 	}
 
-	status, err := cpu.Run(*maxSteps)
+	cpu, status, err := col.Run(exe, p, ic, *maxSteps, traceExec)
 	if err != nil {
 		fatal(err)
 	}
-	// Fold the final partial telemetry epoch so the sampled profile and
-	// heat map cover the whole run.
-	cpu.FlushEpoch()
 	os.Stdout.Write(cpu.Output())
 	st := cpu.Stats
 	fmt.Fprintf(os.Stderr, "exit status %d\n", status)
@@ -238,70 +131,10 @@ func main() {
 			ic.Stats.Accesses, ic.Stats.Misses, 100*ic.Stats.MissRate())
 	}
 
-	if sa != nil && *sizeAudit {
-		fmt.Fprintln(os.Stderr)
-		if err := sa.WriteTable(os.Stderr); err != nil {
+	if col != nil {
+		if err := col.Write(*bundleDir); err != nil {
 			fatal(err)
 		}
-	}
-
-	var guest *guestprof.Profile
-	var foldedText string
-	if gp != nil {
-		guest = gp.Profile(id.Bench)
-		var sb strings.Builder
-		if err := gp.WriteFolded(&sb); err != nil {
-			fatal(err)
-		}
-		foldedText = sb.String()
-		if *guestProf {
-			fmt.Fprintln(os.Stderr)
-			if err := guest.WriteTop(os.Stderr, *topN); err != nil {
-				fatal(err)
-			}
-		}
-		if *folded != "" {
-			if err := obs.WriteTextFile(*folded, func(w io.Writer) error { return gp.WriteFolded(w) }); err != nil {
-				fatal(err)
-			}
-		}
-	}
-	if sp != nil {
-		guest = sp.Profile(id.Bench)
-		fmt.Fprintln(os.Stderr)
-		if err := guest.WriteTop(os.Stderr, *topN); err != nil {
-			fatal(err)
-		}
-		// The reconstructed heat map feeds the profile's hot-entry section
-		// exactly as the slow path's heat hook would have; assigning it
-		// after Run keeps the run itself unhooked.
-		cpu.Heat = sp.Heat()
-	}
-
-	if wantProfile {
-		var curve []cache.SamplePoint
-		if smp != nil {
-			curve = smp.Points
-		}
-		prof := core.CollectRunProfile(img, cpu, rec.Snapshot(), ic, curve)
-		if prof.Name == "" {
-			prof.Name = id.Bench
-		}
-		prof.Guest = guest
-		prof.Size = sa
-		if *profile != "" {
-			if err := obs.WriteJSONFile(*profile, prof); err != nil {
-				fatal(err)
-			}
-		}
-		col.SetProfile(prof)
-		col.SetGuest(guest, foldedText)
-		col.SetAudit(sa)
-	}
-	if err := col.Write(*bundleDir); err != nil {
-		fatal(err)
-	}
-	if wantBundle {
 		fmt.Fprintf(os.Stderr, "bundle: %s\n", *bundleDir)
 	}
 }

@@ -1,13 +1,13 @@
 package main
 
 import (
-	"encoding/json"
 	"os"
 	"os/exec"
 	"path/filepath"
 	"reflect"
 	"testing"
 
+	"repro/internal/bench"
 	"repro/internal/codeword"
 	"repro/internal/core"
 	"repro/internal/objfile"
@@ -52,76 +52,110 @@ func writeImage(t *testing.T, dir, bench string) string {
 	return path
 }
 
-// TestBundleMatchesLegacyFlags is the acceptance check for the -bundle
-// flag: a bundle's stats, profile, guest, and audit sections must be equal
-// to what the legacy per-flag outputs (-profile, -folded, -sizeaudit)
-// produce for the same run.
-func TestBundleMatchesLegacyFlags(t *testing.T) {
+// TestBundleMatchesCollectBundle is the acceptance check for the shared
+// run collector: ccrun -bundle on a nibble .ppz and bench.CollectBundle on
+// the same benchmark must write byte-identical section files, and their
+// manifests may differ only in the options fingerprint, which a
+// deserialized image does not carry.
+func TestBundleMatchesCollectBundle(t *testing.T) {
 	bin := buildCCRun(t)
 	dir := t.TempDir()
 	ppz := writeImage(t, dir, "compress")
 
-	legacyProf := filepath.Join(dir, "legacy.json")
-	legacyFolded := filepath.Join(dir, "legacy.folded")
-	legacy := exec.Command(bin, "-profile", legacyProf, "-guestprof", "-folded", legacyFolded, "-sizeaudit", ppz)
-	if out, err := legacy.CombinedOutput(); err != nil {
-		t.Fatalf("legacy run: %v\n%s", err, out)
+	got := filepath.Join(dir, "ccrun")
+	if out, err := exec.Command(bin, "-bundle", got, ppz).CombinedOutput(); err != nil {
+		t.Fatalf("ccrun -bundle: %v\n%s", err, out)
+	}
+	b, err := bench.CollectBundle(bench.NewCorpus(), "compress", "nibble", core.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := filepath.Join(dir, "collect")
+	if err := obs.Write(want, b); err != nil {
+		t.Fatal(err)
 	}
 
+	gb, err := obs.Open(got)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if gb.Identity.Bench != "compress" || gb.Identity.Codec != "nibble" || gb.Identity.Method != 2 {
+		t.Errorf("bundle identity = %+v", gb.Identity)
+	}
+	if gb.Identity.OptionsHash != "" || b.Identity.OptionsHash == "" {
+		t.Errorf("options hashes: ccrun %q, CollectBundle %q", gb.Identity.OptionsHash, b.Identity.OptionsHash)
+	}
+	gb.Identity.OptionsHash = b.Identity.OptionsHash
+	if !reflect.DeepEqual(gb.Identity, b.Identity) {
+		t.Errorf("identity differs beyond options_hash:\n got %+v\nwant %+v", gb.Identity, b.Identity)
+	}
+
+	entries, err := os.ReadDir(want)
+	if err != nil {
+		t.Fatal(err)
+	}
+	gotEntries, err := os.ReadDir(got)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(gotEntries) != len(entries) {
+		t.Errorf("ccrun bundle has %d files, CollectBundle %d", len(gotEntries), len(entries))
+	}
+	for _, e := range entries {
+		if e.Name() == obs.ManifestFile {
+			continue
+		}
+		w, err := os.ReadFile(filepath.Join(want, e.Name()))
+		if err != nil {
+			t.Fatal(err)
+		}
+		g, err := os.ReadFile(filepath.Join(got, e.Name()))
+		if err != nil {
+			t.Errorf("ccrun bundle lacks %s: %v", e.Name(), err)
+			continue
+		}
+		if string(g) != string(w) {
+			t.Errorf("%s differs between ccrun -bundle and bench.CollectBundle", e.Name())
+		}
+	}
+}
+
+// TestBundleCacheProfile pins -cache under -bundle: the profile section
+// carries the I-cache totals and a miss curve sampled over the run, and
+// the guest profile charges every miss to a function. ijpeg makes enough
+// line accesses for more than one curve point.
+func TestBundleCacheProfile(t *testing.T) {
+	bin := buildCCRun(t)
+	dir := t.TempDir()
+	ppz := writeImage(t, dir, "ijpeg")
 	bundleDir := filepath.Join(dir, "bundle")
-	bundled := exec.Command(bin, "-bundle", bundleDir, ppz)
-	if out, err := bundled.CombinedOutput(); err != nil {
-		t.Fatalf("bundle run: %v\n%s", err, out)
+	if out, err := exec.Command(bin, "-cache", "1024", "-bundle", bundleDir, ppz).CombinedOutput(); err != nil {
+		t.Fatalf("ccrun -cache 1024 -bundle: %v\n%s", err, out)
 	}
-
 	b, err := obs.Open(bundleDir)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if b.Identity.Bench != "compress" || b.Identity.Codec != "nibble" || b.Identity.Method != 2 {
-		t.Errorf("bundle identity = %+v", b.Identity)
+	if b.Profile == nil || b.Profile.Cache == nil {
+		t.Fatal("profile section has no cache section")
 	}
-
-	// The legacy -profile file embeds the guest profile and size audit as
-	// sections of the run profile; the bundle stores them as sections of
-	// their own. Equality is per component.
-	data, err := os.ReadFile(legacyProf)
-	if err != nil {
-		t.Fatal(err)
+	c := b.Profile.Cache
+	if c.Accesses == 0 || c.Misses == 0 || c.Hits+c.Misses != c.Accesses {
+		t.Errorf("cache totals inconsistent: %+v", *c)
 	}
-	var want core.RunProfile
-	if err := json.Unmarshal(data, &want); err != nil {
-		t.Fatalf("legacy profile JSON: %v", err)
+	if len(c.Curve) < 2 {
+		t.Fatalf("miss curve has %d points over %d accesses", len(c.Curve), c.Accesses)
 	}
-	if !reflect.DeepEqual(b.Guest, want.Guest) {
-		t.Errorf("bundle guest profile differs from legacy -profile guest section:\n got %+v\nwant %+v", b.Guest, want.Guest)
+	for i, pt := range c.Curve {
+		if pt.Access > c.Accesses || pt.Hits+pt.Misses != pt.Access || (i > 0 && pt.Access <= c.Curve[i-1].Access) {
+			t.Fatalf("curve point %d = %+v is inconsistent (accesses %d)", i, pt, c.Accesses)
+		}
 	}
-	if !reflect.DeepEqual(b.Audit, want.Size) {
-		t.Errorf("bundle audit differs from legacy -profile size section")
+	if b.Guest == nil {
+		t.Fatal("bundle has no guest section")
 	}
-	want.Guest, want.Size = nil, nil
-	if b.Profile == nil {
-		t.Fatal("bundle has no profile section")
-	}
-	if !reflect.DeepEqual(*b.Profile, want) {
-		t.Errorf("bundle profile differs from legacy -profile output:\n got %+v\nwant %+v", *b.Profile, want)
-	}
-
-	folded, err := os.ReadFile(legacyFolded)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if b.GuestFolded != string(folded) {
-		t.Errorf("bundle folded stacks differ from legacy -folded output:\n got %q\nwant %q", b.GuestFolded, folded)
-	}
-
-	// The stats snapshot is what CollectRunProfile consumed; the same run
-	// must yield the same counters either way.
-	if b.Stats == nil {
-		t.Fatal("bundle has no stats section")
-	}
-	if got := b.Stats.Counters["machine.steps"]; got != want.Steps {
-		t.Errorf("bundle stats machine.steps = %d, profile says %d", got, want.Steps)
+	if b.Guest.Total.CacheMisses != c.Misses {
+		t.Errorf("guest profile charges %d misses, cache saw %d", b.Guest.Total.CacheMisses, c.Misses)
 	}
 }
 

@@ -15,8 +15,8 @@
 // atomic line, so a broken report or interrupted run can never corrupt
 // the ledger. Commit and timestamp are caller-supplied (like the
 // identity fields of obs bundles) so replaying a run appends a
-// byte-identical line; CPU defaults to the report's own cpu header and
-// the Go version to the running toolchain's.
+// byte-identical line; the CPU is the report's own cpu header and the Go
+// version the running toolchain's.
 package main
 
 import (
@@ -38,13 +38,10 @@ func main() {
 		appendF = flag.String("append", "", "append mode: BENCH_*.json report to add to the ledger")
 		commit  = flag.String("commit", "", "append mode: git commit the report was measured at (required)")
 		timeF   = flag.String("time", "", "append mode: RFC3339 timestamp of the run (required)")
-		cpu     = flag.String("cpu", "", "append mode: CPU identity (default: the report's cpu header)")
-		gover   = flag.String("goversion", "", "append mode: toolchain identity (default: runtime.Version())")
-		options = flag.String("options", "", "append mode: codec options fingerprint")
 	)
 	flag.Usage = func() {
 		fmt.Fprintf(flag.CommandLine.Output(),
-			"usage: cctrend [-o out] [-text] LEDGER.jsonl\n       cctrend -append BENCH.json -commit SHA -time RFC3339 [-cpu s] [-goversion v] [-options h] LEDGER.jsonl\n")
+			"usage: cctrend [-o out] [-text] LEDGER.jsonl\n       cctrend -append BENCH.json -commit SHA -time RFC3339 LEDGER.jsonl\n")
 		flag.PrintDefaults()
 	}
 	flag.Parse()
@@ -56,7 +53,7 @@ func main() {
 
 	var err error
 	if *appendF != "" {
-		err = runAppend(ledger, *appendF, *commit, *timeF, *cpu, *gover, *options)
+		err = runAppend(ledger, *appendF, *commit, *timeF)
 	} else {
 		err = runRender(ledger, *out, *text)
 	}
@@ -66,7 +63,7 @@ func main() {
 	}
 }
 
-func runAppend(ledger, reportPath, commit, timestamp, cpu, gover, options string) error {
+func runAppend(ledger, reportPath, commit, timestamp string) error {
 	if commit == "" || timestamp == "" {
 		return fmt.Errorf("-append requires -commit and -time")
 	}
@@ -74,20 +71,13 @@ func runAppend(ledger, reportPath, commit, timestamp, cpu, gover, options string
 	if err != nil {
 		return err
 	}
-	if cpu == "" {
-		cpu = rep.CPU
-	}
-	if gover == "" {
-		gover = runtime.Version()
-	}
 	return perfhist.Append(ledger, &perfhist.Entry{
-		Schema:      perfhist.SchemaVersion,
-		Commit:      commit,
-		Timestamp:   timestamp,
-		GoVersion:   gover,
-		CPU:         cpu,
-		OptionsHash: options,
-		Report:      rep,
+		Schema:    perfhist.SchemaVersion,
+		Commit:    commit,
+		Timestamp: timestamp,
+		GoVersion: runtime.Version(),
+		CPU:       rep.CPU,
+		Report:    rep,
 	})
 }
 

@@ -4,6 +4,7 @@ import (
 	"encoding/json"
 	"os"
 	"path/filepath"
+	"runtime"
 	"strings"
 	"testing"
 
@@ -46,7 +47,7 @@ func TestAppendThenRender(t *testing.T) {
 	}
 	for i, r := range runs {
 		rep := writeReport(t, dir, "bench.json", r.ns)
-		if err := runAppend(ledger, rep, r.commit, r.ts, "", "go1.24.0", ""); err != nil {
+		if err := runAppend(ledger, rep, r.commit, r.ts); err != nil {
 			t.Fatalf("append %d: %v", i, err)
 		}
 	}
@@ -58,8 +59,9 @@ func TestAppendThenRender(t *testing.T) {
 	if len(entries) != 3 {
 		t.Fatalf("ledger holds %d entries, want 3", len(entries))
 	}
-	// CPU defaulted from the report header, Go version passed through.
-	if entries[0].CPU != "Test CPU" || entries[0].GoVersion != "go1.24.0" {
+	// CPU taken from the report header, Go version from the toolchain;
+	// the options fingerprint stays empty.
+	if entries[0].CPU != "Test CPU" || entries[0].GoVersion != runtime.Version() || entries[0].OptionsHash != "" {
 		t.Fatalf("identity: %+v", entries[0])
 	}
 
@@ -100,13 +102,13 @@ func TestAppendRequiresIdentity(t *testing.T) {
 	dir := t.TempDir()
 	ledger := filepath.Join(dir, "ledger.jsonl")
 	rep := writeReport(t, dir, "bench.json", []float64{100})
-	if err := runAppend(ledger, rep, "", "2026-08-01T10:00:00Z", "", "", ""); err == nil {
+	if err := runAppend(ledger, rep, "", "2026-08-01T10:00:00Z"); err == nil {
 		t.Error("append without -commit accepted")
 	}
-	if err := runAppend(ledger, rep, "abc", "", "", "", ""); err == nil {
+	if err := runAppend(ledger, rep, "abc", ""); err == nil {
 		t.Error("append without -time accepted")
 	}
-	if err := runAppend(ledger, rep, "abc", "not-a-time", "", "", ""); err == nil {
+	if err := runAppend(ledger, rep, "abc", "not-a-time"); err == nil {
 		t.Error("append with junk -time accepted")
 	}
 }

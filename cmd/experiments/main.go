@@ -9,10 +9,8 @@
 //	experiments -json            # machine-readable report with per-phase stats
 //	experiments -timeout 2m      # cancel the run after a deadline
 //	experiments -list            # list experiment ids
-//	experiments -trace out.json  # write a Chrome trace-event file of the run
 //	experiments -pprof :6060     # serve net/http/pprof, live counters, /metrics
-//	experiments -guestprof dir/  # paired native/compressed guest profiles per benchmark
-//	experiments -sizeaudit dir/  # per-encoding byte-provenance audits per benchmark
+//	experiments -bundle dir/     # run bundles: the whole run + every benchmark × encoding
 //
 // Output is deterministic at every -parallel setting. The process exits
 // non-zero if any experiment fails.
@@ -24,6 +22,7 @@ import (
 	"expvar"
 	"flag"
 	"fmt"
+	"io"
 	"net/http"
 	_ "net/http/pprof"
 	"os"
@@ -33,11 +32,9 @@ import (
 	"time"
 
 	"repro/internal/bench"
-	"repro/internal/codeword"
 	"repro/internal/core"
 	"repro/internal/obs"
 	"repro/internal/stats"
-	"repro/internal/trace"
 )
 
 // jsonExperiment is one experiment in the -json report.
@@ -68,11 +65,8 @@ func main() {
 	parallel := flag.Int("parallel", runtime.GOMAXPROCS(0), "bound on concurrently executing work (runners and their rows); 1 = sequential")
 	timeout := flag.Duration("timeout", 0, "cancel the run after this duration (0 = no deadline)")
 	showStats := flag.Bool("stats", false, "print each experiment's counter/phase summary after its table")
-	traceOut := flag.String("trace", "", "write a Chrome trace-event JSON file of the run (open in chrome://tracing or Perfetto)")
 	pprofAddr := flag.String("pprof", "", "serve net/http/pprof and the live stats snapshot (expvar \"stats\") on this address, e.g. :6060")
-	guestDir := flag.String("guestprof", "", "write paired native/compressed guest profiles (JSON + folded flamegraph stacks) for every benchmark into this directory")
-	auditDir := flag.String("sizeaudit", "", "write per-encoding byte-provenance audits (JSON + CSV + folded) for every benchmark into this directory")
-	bundleDir := flag.String("bundle", "", "write run bundles into this directory: one per benchmark under the paper's nibble options (<bench>.nibble/) plus experiments/ holding the whole run's stats and trace; one flag capturing what -trace/-guestprof/-sizeaudit produce piecemeal")
+	bundleDir := flag.String("bundle", "", "write run bundles into this directory: experiments/ holding the whole run's stats and trace, plus one per benchmark natively (<bench>.native/) and under every registered codec (<bench>.<codec>/)")
 	flag.Parse()
 
 	if *list {
@@ -117,8 +111,7 @@ func main() {
 			}
 		}()
 	}
-	// With -bundle, the collector owns the run's tracer, so -trace becomes
-	// a shim exporting the same spans the bundle captures.
+	// With -bundle, the collector owns the run's recorder and tracer.
 	var col *obs.Collector
 	if *bundleDir != "" {
 		col = obs.NewCollector(obs.Identity{
@@ -126,60 +119,24 @@ func main() {
 			Timestamp: time.Now().UTC().Format(time.RFC3339),
 		})
 	}
-	tracer := col.Tracer()
-	if tracer == nil && *traceOut != "" {
-		tracer = trace.New()
-	}
 	corpus := bench.NewCorpus()
 	engine := bench.NewEngine(corpus, bench.EngineOptions{
 		Parallel:  *parallel,
 		Recorder:  totals,
-		Tracer:    tracer,
 		Collector: col,
 	})
 	t0 := time.Now()
 	results, runErr := engine.RunIDs(ctx, ids)
 	wall := time.Since(t0)
-	if *bundleDir != "" && runErr == nil {
-		if err := col.Write(filepath.Join(*bundleDir, "experiments")); err != nil {
-			fmt.Fprintf(os.Stderr, "experiments: run bundle: %v\n", err)
-			os.Exit(1)
-		}
-		opt := core.Options{Scheme: codeword.Nibble, MaxEntryLen: 4}
-		ts := time.Now().UTC().Format(time.RFC3339)
-		if err := bench.WriteBundles(corpus, *bundleDir, opt, []string{"nibble"}, ts); err != nil {
-			fmt.Fprintf(os.Stderr, "experiments: bundles: %v\n", err)
-			os.Exit(1)
-		}
-		fmt.Fprintf(os.Stderr, "experiments: wrote run bundles to %s\n", *bundleDir)
-	}
-	if *guestDir != "" && runErr == nil {
-		// The corpus is already warm from the run, so profiling only pays
-		// for the executions themselves.
-		opt := core.Options{Scheme: codeword.Nibble, MaxEntryLen: 4}
-		if err := bench.WriteGuestProfiles(corpus, *guestDir, opt); err != nil {
-			fmt.Fprintf(os.Stderr, "experiments: guest profiles: %v\n", err)
-			os.Exit(1)
-		}
-		fmt.Fprintf(os.Stderr, "experiments: wrote guest profile pairs to %s\n", *guestDir)
-	}
-	if *auditDir != "" && runErr == nil {
-		if err := bench.WriteSizeAudits(corpus, *auditDir); err != nil {
-			fmt.Fprintf(os.Stderr, "experiments: size audits: %v\n", err)
-			os.Exit(1)
-		}
-		fmt.Fprintf(os.Stderr, "experiments: wrote size audits to %s\n", *auditDir)
-	}
-	if *traceOut != "" {
-		if err := obs.WriteTextFile(*traceOut, tracer.WriteChrome); err != nil {
-			fmt.Fprintf(os.Stderr, "experiments: writing trace %s: %v\n", *traceOut, err)
-			os.Exit(1)
-		}
-		fmt.Fprintf(os.Stderr, "experiments: wrote %d spans to %s\n", tracer.Len(), *traceOut)
-	}
 	if results == nil { // id resolution failed before anything ran
 		fmt.Fprintf(os.Stderr, "experiments: %v; use -list\n", runErr)
 		os.Exit(2)
+	}
+	if *bundleDir != "" {
+		if err := writeBundles(os.Stderr, *bundleDir, col, corpus, runErr); err != nil {
+			fmt.Fprintf(os.Stderr, "experiments: %v\n", err)
+			os.Exit(1)
+		}
 	}
 
 	if *jsonOut {
@@ -191,6 +148,29 @@ func main() {
 		fmt.Fprintf(os.Stderr, "experiments: %v\n", runErr)
 		os.Exit(1)
 	}
+}
+
+// writeBundles fills the -bundle directory: experiments/ holding the whole
+// run's stats and trace, then one bundle per benchmark natively and under
+// every registered codec. When an experiment failed, the run bundle is
+// still written — it is the artifact that explains the failure — and only
+// the per-benchmark bundles are skipped.
+func writeBundles(w io.Writer, dir string, col *obs.Collector, corpus *bench.Corpus, runErr error) error {
+	if err := col.Write(filepath.Join(dir, "experiments")); err != nil {
+		return fmt.Errorf("run bundle: %w", err)
+	}
+	if runErr != nil {
+		fmt.Fprintf(w, "experiments: wrote the run bundle to %s; skipped the per-benchmark bundles because an experiment failed\n", dir)
+		return nil
+	}
+	// The corpus is already warm from the run, so the bundles pay only for
+	// the encodings no experiment compressed and for the executions.
+	ts := time.Now().UTC().Format(time.RFC3339)
+	if err := bench.WriteBundles(corpus, dir, core.Options{}, nil, ts); err != nil {
+		return fmt.Errorf("bundles: %w", err)
+	}
+	fmt.Fprintf(w, "experiments: wrote run bundles to %s\n", dir)
+	return nil
 }
 
 func emitText(results []bench.Result, csv, showStats bool) {

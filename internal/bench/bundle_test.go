@@ -88,18 +88,20 @@ func TestBundleRoundTrip(t *testing.T) {
 	}
 }
 
-// TestBundleSectionsByCodec pins which sections each codec family
-// contributes: executable codecs produce the full flight-record, the
-// size-only comparator stays stats+audit.
+// TestBundleSectionsByCodec pins which sections each encoding contributes:
+// executable codecs produce the full flight-record, the size-only
+// comparator stays stats+audit, and the native run has every execution
+// section but no audit (nothing was compressed).
 func TestBundleSectionsByCodec(t *testing.T) {
 	c := NewCorpus()
-	for _, enc := range AuditEncodings {
+	for _, enc := range append([]string{"native"}, AuditEncodings...) {
 		b, err := CollectBundle(c, "compress", enc, core.Options{})
 		if err != nil {
 			t.Fatalf("%s: %v", enc, err)
 		}
-		if b.Audit == nil || b.AuditCSV == "" {
-			t.Errorf("%s: bundle carries no size audit", enc)
+		compressed := enc != "native"
+		if (b.Audit != nil) != compressed || (b.AuditCSV != "") != compressed {
+			t.Errorf("%s: size audit present=%v, want %v", enc, b.Audit != nil, compressed)
 		}
 		if b.Stats == nil {
 			t.Errorf("%s: bundle carries no stats snapshot", enc)
@@ -113,6 +115,9 @@ func TestBundleSectionsByCodec(t *testing.T) {
 		}
 		if executable && b.GuestFolded == "" {
 			t.Errorf("%s: executable bundle has no folded stacks", enc)
+		}
+		if b.Identity.Codec != enc {
+			t.Errorf("%s: identity codec = %q", enc, b.Identity.Codec)
 		}
 	}
 }

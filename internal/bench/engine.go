@@ -9,7 +9,6 @@ import (
 
 	"repro/internal/obs"
 	"repro/internal/stats"
-	"repro/internal/trace"
 )
 
 // EngineOptions configures a parallel experiment run.
@@ -24,15 +23,12 @@ type EngineOptions struct {
 	// carries its own per-experiment snapshot.
 	Recorder *stats.Recorder
 
-	// Tracer, when non-nil, collects one span tree per experiment
-	// (experiment:<id> at the root; corpus, pipeline and row spans below)
-	// for Chrome trace-event export. Nil disables tracing at zero cost.
-	Tracer *trace.Tracer
-
 	// Collector, when non-nil, is the engine run's bundle sink: every
 	// experiment's snapshot merges into its recorder (in addition to
-	// Recorder), and when no Tracer was given the collector's tracer
-	// gathers the span trees, so one bundle captures the whole run.
+	// Recorder), and its tracer collects one span tree per experiment
+	// (experiment:<id> at the root; corpus, pipeline and row spans below),
+	// so one bundle captures the whole run. Nil disables both at zero
+	// cost.
 	Collector *obs.Collector
 }
 
@@ -70,9 +66,6 @@ func NewEngine(c *Corpus, opt EngineOptions) *Engine {
 	if opt.Parallel <= 0 {
 		opt.Parallel = runtime.GOMAXPROCS(0)
 	}
-	if opt.Tracer == nil {
-		opt.Tracer = opt.Collector.Tracer() // nil on a nil collector
-	}
 	return &Engine{corpus: c, opt: opt}
 }
 
@@ -106,7 +99,7 @@ launch:
 			defer wg.Done()
 			defer func() { <-sem }()
 			rec := stats.New()
-			sp := e.opt.Tracer.Root("experiment:"+r.ID).
+			sp := e.opt.Collector.Tracer().Root("experiment:"+r.ID).
 				Set("id", r.ID).Set("title", r.Title).SetInt("slot", int64(i))
 			view := e.corpus.Bound(ctx, sem, rec).WithSpan(sp)
 			stop := rec.Time("experiment.wall")

@@ -2,15 +2,11 @@ package bench
 
 import (
 	"fmt"
-	"io"
-	"os"
-	"path/filepath"
 	"strings"
 
 	"repro/internal/codeword"
 	"repro/internal/core"
 	"repro/internal/guestprof"
-	"repro/internal/obs"
 )
 
 func init() {
@@ -126,37 +122,4 @@ func ExtGuestProf(c *Corpus) (*Table, error) {
 		return nil, err
 	}
 	return t, nil
-}
-
-// WriteGuestProfiles writes every benchmark's paired profiles into dir:
-// <bench>.native.json / <bench>.native.folded for the uncompressed run and
-// <bench>.ppz.json / <bench>.ppz.folded for the compressed one. The folded
-// files feed flamegraph tooling directly.
-func WriteGuestProfiles(c *Corpus, dir string, opt core.Options) error {
-	if err := os.MkdirAll(dir, 0o755); err != nil {
-		return err
-	}
-	names := c.Names()
-	return c.each(len(names), func(i int) error {
-		pair, err := GuestProfilePair(c, names[i], opt)
-		if err != nil {
-			return err
-		}
-		for _, side := range []struct {
-			tag string
-			run GuestRun
-		}{{"native", pair.Native}, {"ppz", pair.Compressed}} {
-			base := filepath.Join(dir, pair.Bench+"."+side.tag)
-			if err := obs.WriteJSONFile(base+".json", side.run.Profile); err != nil {
-				return err
-			}
-			if err := obs.WriteTextFile(base+".folded", func(w io.Writer) error {
-				_, err := io.WriteString(w, side.run.Folded)
-				return err
-			}); err != nil {
-				return err
-			}
-		}
-		return nil
-	})
 }

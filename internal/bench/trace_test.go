@@ -7,12 +7,13 @@ import (
 
 	"repro/internal/codeword"
 	"repro/internal/core"
-	"repro/internal/trace"
+	"repro/internal/obs"
 )
 
-// TestEngineTracing runs real corpus work under a tracer and checks the
-// span tree has the documented shape: one root per experiment, row spans
-// with worker attribution, and corpus/pipeline spans nested below.
+// TestEngineTracing runs real corpus work under a collector's tracer and
+// checks the span tree has the documented shape: one root per experiment,
+// row spans with worker attribution, and corpus/pipeline spans nested
+// below.
 func TestEngineTracing(t *testing.T) {
 	runners := []Runner{
 		{ID: "t1", Title: "traced one", Run: func(c *Corpus) (*Table, error) {
@@ -36,13 +37,13 @@ func TestEngineTracing(t *testing.T) {
 			return tb, nil
 		}},
 	}
-	tr := trace.New()
-	e := NewEngine(NewCorpus(), EngineOptions{Parallel: 4, Tracer: tr})
+	col := obs.NewCollector(obs.Identity{Bench: "experiments"})
+	e := NewEngine(NewCorpus(), EngineOptions{Parallel: 4, Collector: col})
 	if _, err := e.Run(context.Background(), runners); err != nil {
 		t.Fatal(err)
 	}
 
-	spans := tr.Spans()
+	spans := col.Tracer().Spans()
 	byName := map[string]int{}
 	roots := 0
 	for _, s := range spans {

@@ -4,10 +4,8 @@ import (
 	"sort"
 
 	"repro/internal/cache"
-	"repro/internal/guestprof"
 	"repro/internal/machine"
 	"repro/internal/ppc"
-	"repro/internal/sizeaudit"
 	"repro/internal/stats"
 )
 
@@ -44,7 +42,7 @@ type FastPathProfile struct {
 	Bails     map[string]int64 `json:"bails,omitempty"`      // exits/refusals by reason
 }
 
-// RunProfile is the per-run execution profile behind ccrun -profile: the
+// RunProfile is the per-run execution profile of a run bundle: the
 // machine's counters, fast-path coverage and bail accounting, the
 // dictionary-entry heat map (hottest first), the expansion-length
 // histogram and, when a cache was simulated, its miss curve. All fields
@@ -59,14 +57,6 @@ type RunProfile struct {
 	HotEntries    []EntryHeat      `json:"hot_entries,omitempty"`
 	ExpansionHist *stats.Histogram `json:"expansion_hist,omitempty"`
 	Cache         *CacheProfile    `json:"cache,omitempty"`
-
-	// Guest is the symbolized per-function guest profile, present when a
-	// guestprof.Profiler was attached to the run (ccrun -guestprof).
-	Guest *guestprof.Profile `json:"guest,omitempty"`
-
-	// Size is the static byte-provenance audit of the image being run,
-	// present when requested (ccrun -sizeaudit) and the image carries marks.
-	Size *sizeaudit.Audit `json:"size,omitempty"`
 }
 
 // HotEntriesTotal sums the heat map's expansion counts.

@@ -84,7 +84,7 @@ func TestCollectRunProfile(t *testing.T) {
 		t.Fatal("empty cache miss curve")
 	}
 
-	// The profile must survive a JSON round trip (it is ccrun's output).
+	// The profile must survive a JSON round trip (it is a bundle section).
 	raw, err := json.Marshal(prof)
 	if err != nil {
 		t.Fatal(err)

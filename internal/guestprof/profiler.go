@@ -58,7 +58,7 @@ type frame struct {
 
 // Profiler attributes execution to guest functions. Create with New,
 // connect with Attach (and ObserveCache when an I-cache is simulated),
-// run the machine, then export with Profile, WriteTop or WriteFolded.
+// run the machine, then export with Profile or WriteFolded.
 // A Profiler is single-run state: profile one CPU per Profiler.
 type Profiler struct {
 	sym   *SymTab

@@ -24,7 +24,6 @@ import (
 type SampledProfiler struct {
 	sym  *SymTab
 	flat []Counts // index fn+1; 0 is the unknown function
-	heat []int64  // dictionary-entry fetches by rank
 
 	// funcOf memoizes per-table slot-to-function resolution, so steady
 	// state does one array read per touched slot per epoch.
@@ -59,8 +58,8 @@ func (p *SampledProfiler) resolve(pd *machine.Predecode) []int32 {
 }
 
 // ObserveEpoch implements machine.EpochObserver: folds one epoch's slot
-// traffic into the flat profile and the heat map. Only the touched slots
-// are visited, so the fold costs what the epoch executed.
+// traffic into the flat profile. Only the touched slots are visited, so
+// the fold costs what the epoch executed.
 func (p *SampledProfiler) ObserveEpoch(pd *machine.Predecode, tr []machine.SlotTraffic, touched []int32) {
 	fns := p.resolve(pd)
 	for _, i := range touched {
@@ -72,10 +71,6 @@ func (p *SampledProfiler) ObserveEpoch(pd *machine.Predecode, tr []machine.SlotT
 		c.Expanded += int64(t.Steps - t.Fetches)
 		if s.Rank >= 0 {
 			c.Expansions += int64(t.Fetches)
-			if n := int(s.Rank) + 1; n > len(p.heat) {
-				p.heat = append(p.heat, make([]int64, n-len(p.heat))...)
-			}
-			p.heat[s.Rank] += int64(t.Fetches)
 		}
 	}
 }
@@ -101,8 +96,3 @@ func (p *SampledProfiler) Profile(name string) *Profile {
 	})
 	return prof
 }
-
-// Heat returns the reconstructed dictionary-entry heat map (index = rank):
-// for the covered steps, exactly what the machine's heat hook would have
-// counted on the instrumented path.
-func (p *SampledProfiler) Heat() []int64 { return p.heat }

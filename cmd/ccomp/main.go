@@ -28,7 +28,7 @@ import (
 
 func main() {
 	schemeName := flag.String("scheme", "baseline", "codec name (see -list-codecs)")
-	entries := flag.Int("entries", 0, "dictionary entry budget (0 = scheme maximum; dictionary codecs only)")
+	entries := flag.Int("entries", 0, "dictionary entry budget (0 or negative = scheme maximum; dictionary codecs only)")
 	entryLen := flag.Int("entrylen", 4, "maximum instructions per dictionary entry (dictionary codecs only)")
 	out := flag.String("o", "", "output .ppz path (default: input with .ppz suffix)")
 	audit := flag.Bool("audit", false, "print the byte-provenance audit: every compressed byte attributed to its source function and overhead class")

@@ -36,16 +36,22 @@ func newFlight[T any]() *flight[T] { return &flight[T]{done: make(chan struct{})
 
 // corpusState is the cache shared by every view of a corpus.
 type corpusState struct {
-	mu     sync.Mutex
-	progs  map[string]*flight[*program.Program]
-	images map[imageKey]*flight[*core.Image]
+	mu         sync.Mutex
+	progs      map[string]*flight[*program.Program]
+	images     map[imageKey]*flight[*core.Image]
+	selections map[selectionKey]*flight[*core.Selection]
+	indexes    map[indexKey]*core.Candidates // built on first use by their own selections
 }
 
 // Corpus memoizes generated benchmarks and compression results so sweeps
-// that revisit configurations do not recompute them. It is safe for
-// concurrent use: parallel callers asking for the same key never duplicate
-// a generation or compression (the loser waits for the winner's result),
-// and no lock is held across the underlying computation.
+// that revisit configurations do not recompute them. Below the images it
+// caches each program's dictionary selections and candidate indexes, so
+// an image is a prefix replay of a selection shared by every entry budget,
+// and the selections under every scheme share one candidate index per
+// entry length. It is safe for concurrent use: parallel callers asking for
+// the same key never duplicate a generation, selection or compression (the
+// loser waits for the winner's result), and no lock is held across the
+// underlying computation.
 //
 // A Corpus value is a view: Bound returns a view sharing the same caches
 // but carrying a context for cancellation, a worker pool for row-level
@@ -85,11 +91,29 @@ func keyFor(name string, opt core.Options) imageKey {
 	}
 }
 
+// selectionKey identifies a cached selection: everything an image depends
+// on except the entry budget, which a prefix of the selection applies.
+type selectionKey struct {
+	name        string
+	scheme      codeword.Scheme
+	maxEntryLen int
+	strategy    dictionary.Strategy
+}
+
+// indexKey identifies a cached candidate index, which depends on neither
+// the scheme nor the strategy.
+type indexKey struct {
+	name        string
+	maxEntryLen int
+}
+
 // NewCorpus creates an empty cache.
 func NewCorpus() *Corpus {
 	return &Corpus{state: &corpusState{
-		progs:  map[string]*flight[*program.Program]{},
-		images: map[imageKey]*flight[*core.Image]{},
+		progs:      map[string]*flight[*program.Program]{},
+		images:     map[imageKey]*flight[*core.Image]{},
+		selections: map[selectionKey]*flight[*core.Selection]{},
+		indexes:    map[indexKey]*core.Candidates{},
 	}}
 }
 
@@ -130,9 +154,10 @@ func (c *Corpus) err() error {
 // Names lists the benchmarks in the paper's order.
 func (c *Corpus) Names() []string { return synth.BenchmarkNames() }
 
-// Fork returns a corpus sharing the generated programs but with an empty
-// image cache — benchmarks use it so each timed iteration re-runs the
-// compression being measured while amortizing program generation.
+// Fork returns a corpus sharing the generated programs but with empty
+// image, selection and index caches — benchmarks use it so each timed
+// iteration re-runs the compression being measured, dictionary builds
+// included, while amortizing program generation.
 func (c *Corpus) Fork() *Corpus {
 	c.state.mu.Lock()
 	defer c.state.mu.Unlock()
@@ -143,7 +168,7 @@ func (c *Corpus) Fork() *Corpus {
 	return f
 }
 
-// wait blocks until the flight completes or the view is cancelled.
+// waitFlight blocks until the flight completes or the view is cancelled.
 func waitFlight[T any](c *Corpus, f *flight[T]) (T, error) {
 	if c.ctx == nil {
 		<-f.done
@@ -158,65 +183,59 @@ func waitFlight[T any](c *Corpus, f *flight[T]) (T, error) {
 	return f.val, f.err
 }
 
-// Program returns the named benchmark, generating it on first use. Only
-// one caller generates a given benchmark; concurrent requesters share the
-// result.
-func (c *Corpus) Program(name string) (*program.Program, error) {
+// cached returns the value memoized under key in m, computing it on first
+// use. Only one caller computes a given key; concurrent requesters wait
+// for and share its result.
+func cached[K comparable, T any](c *Corpus, m map[K]*flight[T], key K, compute func() (T, error)) (T, error) {
 	if err := c.err(); err != nil {
-		return nil, err
+		var zero T
+		return zero, err
 	}
 	st := c.state
 	st.mu.Lock()
-	f, ok := st.progs[name]
+	f, ok := m[key]
 	if ok {
 		st.mu.Unlock()
 		return waitFlight(c, f)
 	}
-	f = newFlight[*program.Program]()
-	st.progs[name] = f
+	f = newFlight[T]()
+	m[key] = f
 	st.mu.Unlock()
 
-	stop := c.rec.Time("corpus.generate")
-	sp := c.sp.Child("corpus.generate").Set("bench", name)
-	f.val, f.err = synth.Generate(name)
-	sp.End()
-	stop()
-	c.rec.Add("corpus.generations", 1)
+	f.val, f.err = compute()
 	close(f.done)
 	return f.val, f.err
+}
+
+// Program returns the named benchmark, generating it on first use.
+func (c *Corpus) Program(name string) (*program.Program, error) {
+	return cached(c, c.state.progs, name, func() (*program.Program, error) {
+		stop := c.rec.Time("corpus.generate")
+		sp := c.sp.Child("corpus.generate").Set("bench", name)
+		p, err := synth.Generate(name)
+		sp.End()
+		stop()
+		c.rec.Add("corpus.generations", 1)
+		return p, err
+	})
 }
 
 // Image compresses the named benchmark under the options, memoized on the
-// normalized parameters. Only one caller compresses a given configuration;
-// concurrent requesters share the result. Options carrying a DynProfile
-// are rejected — profile-guided images are not cacheable by parameters
-// alone.
+// normalized parameters. The image is a prefix of the cached selection for
+// its scheme, entry length and strategy, cut to its entry budget. Options
+// carrying a DynProfile are rejected — profile-guided images are not
+// cacheable by parameters alone (use Selection and core.CompressWith).
 func (c *Corpus) Image(name string, opt core.Options) (*core.Image, error) {
 	if opt.DynProfile != nil {
-		return nil, fmt.Errorf("bench: profile-guided compression is not cacheable; call core.Compress directly")
+		return nil, fmt.Errorf("bench: profile-guided compression is not cacheable; use Selection and core.CompressWith")
 	}
-	if err := c.err(); err != nil {
-		return nil, err
-	}
-	key := keyFor(name, opt)
-	st := c.state
-	st.mu.Lock()
-	f, ok := st.images[key]
-	if ok {
-		st.mu.Unlock()
-		return waitFlight(c, f)
-	}
-	f = newFlight[*core.Image]()
-	st.images[key] = f
-	st.mu.Unlock()
-
-	f.val, f.err = c.compress(name, opt)
-	close(f.done)
-	return f.val, f.err
+	return cached(c, c.state.images, keyFor(name, opt), func() (*core.Image, error) {
+		return c.compress(name, opt)
+	})
 }
 
-// compress is the flight body: generate (or fetch) the program, then run
-// the pipeline with the view's recorder threaded through.
+// compress is the image flight body: fetch (or run) the selection, then
+// cut and assemble it with the view's recorder threaded through.
 func (c *Corpus) compress(name string, opt core.Options) (*core.Image, error) {
 	p, err := c.Program(name)
 	if err != nil {
@@ -226,7 +245,11 @@ func (c *Corpus) compress(name string, opt core.Options) (*core.Image, error) {
 	sp := c.sp.Child("corpus.compress").Set("bench", name).Set("scheme", opt.Scheme.String())
 	opt.Trace = sp
 	stop := c.rec.Time("corpus.compress")
-	img, err := core.Compress(p.Clone(), opt)
+	var img *core.Image
+	sel, err := c.WithSpan(sp).Selection(name, opt)
+	if err == nil {
+		img, err = core.CompressWith(p.Clone(), sel, opt)
+	}
 	stop()
 	sp.End()
 	c.rec.Add("corpus.compressions", 1)
@@ -234,6 +257,49 @@ func (c *Corpus) compress(name string, opt core.Options) (*core.Image, error) {
 		return nil, fmt.Errorf("bench: compressing %s: %w", name, err)
 	}
 	return img, nil
+}
+
+// Selection returns the named benchmark's dictionary selection for the
+// options' scheme, entry length and strategy, made at the scheme's full
+// entry budget so core.CompressWith can serve any budget from it. It is
+// memoized without the budget, and selections under every scheme share
+// the program's candidate index for their entry length.
+func (c *Corpus) Selection(name string, opt core.Options) (*core.Selection, error) {
+	opt = opt.Normalized()
+	key := selectionKey{name: name, scheme: opt.Scheme, maxEntryLen: opt.MaxEntryLen, strategy: opt.Strategy}
+	return cached(c, c.state.selections, key, func() (*core.Selection, error) {
+		p, err := c.Program(name)
+		if err != nil {
+			return nil, err
+		}
+		sp := c.sp.Child("corpus.select").Set("bench", name).Set("scheme", opt.Scheme.String())
+		sel, err := c.index(name, p, opt.MaxEntryLen).Select(core.Options{
+			Scheme:      opt.Scheme,
+			MaxEntryLen: opt.MaxEntryLen,
+			Strategy:    opt.Strategy,
+			Stats:       c.rec,
+			Trace:       sp,
+		})
+		sp.End()
+		c.rec.Add("corpus.selections", 1)
+		return sel, err
+	})
+}
+
+// index returns the program's shared candidate index for one entry
+// length. The index builds itself inside the first selection that needs
+// it, and concurrent selections wait for that one build.
+func (c *Corpus) index(name string, p *program.Program, maxEntryLen int) *core.Candidates {
+	st := c.state
+	st.mu.Lock()
+	defer st.mu.Unlock()
+	key := indexKey{name: name, maxEntryLen: maxEntryLen}
+	idx := st.indexes[key]
+	if idx == nil {
+		idx = core.NewCandidates(p, maxEntryLen)
+		st.indexes[key] = idx
+	}
+	return idx
 }
 
 // each runs fn(0..n-1) and returns the first error. On an engine-bound

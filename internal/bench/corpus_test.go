@@ -8,6 +8,7 @@ import (
 
 	"repro/internal/codeword"
 	"repro/internal/core"
+	"repro/internal/dictionary"
 	"repro/internal/stats"
 )
 
@@ -31,6 +32,10 @@ func TestImageKeyNormalization(t *testing.T) {
 	}
 	if keyFor("x", zero) == keyFor("y", zero) {
 		t.Error("different benchmarks share a key")
+	}
+	negative := core.Options{Scheme: codeword.OneByte, MaxEntries: -1, MaxEntryLen: 4}
+	if keyFor("x", negative) != keyFor("x", max) {
+		t.Error("negative MaxEntries does not collapse onto the scheme maximum")
 	}
 }
 
@@ -156,5 +161,143 @@ func TestEachParallelMatchesSequential(t *testing.T) {
 		if v != i*i {
 			t.Fatalf("item %d not executed (got %d)", i, v)
 		}
+	}
+}
+
+// TestForkEmptiesSelectionCaches: a fork shares the generated programs
+// but neither the selections nor the candidate indexes, so a benchmark
+// iteration on a fork times a real dictionary build.
+func TestForkEmptiesSelectionCaches(t *testing.T) {
+	opt := core.Options{Scheme: codeword.Nibble, MaxEntryLen: 4}
+	c := NewCorpus()
+	if _, err := c.Image("compress", opt); err != nil {
+		t.Fatal(err)
+	}
+	rec := stats.New()
+	f := c.Fork().Bound(context.Background(), nil, rec)
+	if len(f.state.selections) != 0 || len(f.state.indexes) != 0 {
+		t.Fatalf("fork starts with %d selections and %d indexes cached", len(f.state.selections), len(f.state.indexes))
+	}
+	if _, err := f.Image("compress", opt); err != nil {
+		t.Fatal(err)
+	}
+	snap := rec.Snapshot()
+	if got := snap.Counter("corpus.selections"); got != 1 {
+		t.Errorf("selections on the fork = %d, want 1", got)
+	}
+	if snap.Counter("dict.candidates") == 0 {
+		t.Error("the fork's selection did not enumerate candidates")
+	}
+	if got := snap.Counter("corpus.generations"); got != 0 {
+		t.Errorf("generations on the fork = %d, want 0 (programs are shared)", got)
+	}
+}
+
+// TestConcurrentCapsShareOneSelection: concurrent images of one program,
+// scheme and entry length under different budgets run exactly one
+// selection, and a second scheme reuses the first one's candidate index.
+// Each image is the direct compression under its budget.
+func TestConcurrentCapsShareOneSelection(t *testing.T) {
+	rec := stats.New()
+	c := NewCorpus().Bound(context.Background(), nil, rec)
+	caps := []int{1, 16, 64, 256, 0}
+	schemes := []codeword.Scheme{codeword.Baseline, codeword.Nibble}
+	const workers = 4
+	var wg sync.WaitGroup
+	for w := 0; w < workers; w++ {
+		for _, s := range schemes {
+			for _, m := range caps {
+				wg.Add(1)
+				go func(opt core.Options) {
+					defer wg.Done()
+					if _, err := c.Image("li", opt); err != nil {
+						t.Error(err)
+					}
+				}(core.Options{Scheme: s, MaxEntries: m, MaxEntryLen: 4})
+			}
+		}
+	}
+	wg.Wait()
+	if t.Failed() {
+		return
+	}
+	snap := rec.Snapshot()
+	if got := snap.Counter("corpus.selections"); got != int64(len(schemes)) {
+		t.Errorf("selections = %d, want %d (one per scheme)", got, len(schemes))
+	}
+	if got := snap.Phase("core.build").Count; got != int64(len(schemes)) {
+		t.Errorf("core.build ran %d times, want %d", got, len(schemes))
+	}
+	if got := snap.Phase("core.analyze").Count; got != 1 {
+		t.Errorf("core.analyze ran %d times, want 1 (the schemes share one index)", got)
+	}
+	if got := snap.Counter("corpus.compressions"); got != int64(len(schemes)*len(caps)) {
+		t.Errorf("compressions = %d, want %d", got, len(schemes)*len(caps))
+	}
+	p, err := c.Program("li")
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, s := range schemes {
+		for _, m := range caps {
+			opt := core.Options{Scheme: s, MaxEntries: m, MaxEntryLen: 4}
+			img, err := c.Image("li", opt)
+			if err != nil {
+				t.Fatal(err)
+			}
+			want, err := core.Compress(p.Clone(), opt)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !bytes.Equal(img.Stream, want.Stream) || len(img.Entries) != len(want.Entries) {
+				t.Errorf("%v cap %d: cached image differs from a direct compression", s, m)
+			}
+		}
+	}
+}
+
+// TestCompressWithRejectsMismatchedSelection: a selection only serves
+// the scheme, entry length, strategy and program it was made for, and
+// budgets up to its own cap.
+func TestCompressWithRejectsMismatchedSelection(t *testing.T) {
+	c := NewCorpus()
+	p, err := c.Program("compress")
+	if err != nil {
+		t.Fatal(err)
+	}
+	nibble := core.Options{Scheme: codeword.Nibble, MaxEntryLen: 4}
+	sel, err := c.Selection("compress", nibble)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := core.CompressWith(p.Clone(), sel, nibble); err != nil {
+		t.Fatalf("matching selection rejected: %v", err)
+	}
+	for label, opt := range map[string]core.Options{
+		"scheme":       {Scheme: codeword.Baseline, MaxEntryLen: 4},
+		"entry length": {Scheme: codeword.Nibble, MaxEntryLen: 8},
+		"strategy":     {Scheme: codeword.Nibble, MaxEntryLen: 4, Strategy: dictionary.GreedyReference},
+	} {
+		if _, err := core.CompressWith(p.Clone(), sel, opt); err == nil {
+			t.Errorf("selection with a mismatched %s accepted", label)
+		}
+	}
+	li, err := c.Program("li")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := core.CompressWith(li.Clone(), sel, nibble); err == nil {
+		t.Error("selection for compress accepted for li")
+	}
+
+	small, err := core.SelectDictionary(p, core.Options{Scheme: codeword.Baseline, MaxEntries: 16})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := core.CompressWith(p.Clone(), small, core.Options{Scheme: codeword.Baseline, MaxEntries: 16}); err != nil {
+		t.Errorf("budget equal to the cap rejected: %v", err)
+	}
+	if _, err := core.CompressWith(p.Clone(), small, core.Options{Scheme: codeword.Baseline, MaxEntries: 17}); err == nil {
+		t.Error("selection capped at 16 accepted for a budget of 17")
 	}
 }

@@ -391,9 +391,16 @@ func ExtProfiled(c *Corpus) (*Table, error) {
 		if err != nil {
 			return nil, err
 		}
-		dyn, err := core.Compress(p.Clone(), core.Options{
-			Scheme: codeword.Nibble, MaxEntryLen: 4, DynProfile: prof, Stats: c.Recorder(),
-		})
+		// Greedy selection does not depend on the profile, which only
+		// re-ranks the selected entries: replay the static image's
+		// selection instead of rebuilding it.
+		opt := core.Options{Scheme: codeword.Nibble, MaxEntryLen: 4}
+		sel, err := c.Selection(name, opt)
+		if err != nil {
+			return nil, err
+		}
+		opt.DynProfile, opt.Stats = prof, c.Recorder()
+		dyn, err := core.CompressWith(p.Clone(), sel, opt)
 		if err != nil {
 			return nil, err
 		}

@@ -64,11 +64,16 @@ func TestEngineTracing(t *testing.T) {
 	if byName["row"] != 2 {
 		t.Fatalf("%d row spans, want 2 (t1's pool rows)", byName["row"])
 	}
-	// Three distinct (name, options) pairs were compressed; each carries
-	// the pipeline phases beneath it.
-	for _, want := range []string{"corpus.compress", "core.build", "dict.select"} {
-		if byName[want] != 3 {
-			t.Fatalf("%d %s spans, want 3 (one per compression): %v", byName[want], want, byName)
+	// Three distinct (name, options) pairs were compressed, each from its
+	// own selection with the pipeline phases beneath it; the two
+	// programs' candidate indexes were enumerated once each, inside their
+	// first selection, and shared across schemes.
+	for want, n := range map[string]int{
+		"corpus.compress": 3, "corpus.select": 3, "core.build": 3, "dict.select": 3,
+		"core.analyze": 2, "dict.enumerate": 2,
+	} {
+		if byName[want] != n {
+			t.Fatalf("%d %s spans, want %d: %v", byName[want], want, n, byName)
 		}
 	}
 	if byName["corpus.generate"] != 2 {

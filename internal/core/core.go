@@ -13,7 +13,9 @@ package core
 import (
 	"fmt"
 	"hash/fnv"
+	"slices"
 	"sort"
+	"sync"
 	"sync/atomic"
 
 	"repro/internal/codeword"
@@ -36,7 +38,8 @@ type Options struct {
 	// Scheme is the codeword encoding (baseline 2-byte by default).
 	Scheme codeword.Scheme
 
-	// MaxEntries bounds the dictionary; 0 means the scheme's maximum.
+	// MaxEntries bounds the dictionary; 0 or negative means the scheme's
+	// maximum.
 	MaxEntries int
 
 	// MaxEntryLen bounds instructions per entry; 0 means the paper's
@@ -78,15 +81,15 @@ type Options struct {
 }
 
 // Normalized resolves the option defaults: MaxEntryLen 0 becomes the
-// paper's baseline of 4, and MaxEntries 0 (or anything beyond the scheme's
-// codeword space) becomes the scheme maximum. Two Options that normalize
-// equal always produce identical images, which is what cache keys must be
-// computed over.
+// paper's baseline of 4, and MaxEntries 0 or negative (or anything beyond
+// the scheme's codeword space) becomes the scheme maximum. Two Options
+// that normalize equal always produce identical images, which is what
+// cache keys must be computed over.
 func (o Options) Normalized() Options {
 	if o.MaxEntryLen == 0 {
 		o.MaxEntryLen = 4
 	}
-	if o.MaxEntries == 0 || o.MaxEntries > o.Scheme.MaxEntries() {
+	if o.MaxEntries <= 0 || o.MaxEntries > o.Scheme.MaxEntries() {
 		o.MaxEntries = o.Scheme.MaxEntries()
 	}
 	return o
@@ -298,44 +301,149 @@ func BuildSharedDictionary(programs []*program.Program, opt Options) ([]dictiona
 	return rank.entries, nil
 }
 
-// Compress runs the full pipeline.
+// Compress runs the full pipeline: SelectDictionary, then CompressWith.
 func Compress(p *program.Program, opt Options) (*Image, error) {
-	opt = opt.Normalized()
-	n := len(p.Text)
-	stopAnalyze := opt.Stats.Time("core.analyze")
-	spAnalyze := opt.Trace.Child("core.analyze")
-	compressible, an, err := markers(p)
-	spAnalyze.End()
-	stopAnalyze()
+	sel, err := SelectDictionary(p, opt)
 	if err != nil {
 		return nil, err
 	}
+	return CompressWith(p, sel, opt)
+}
 
-	stopBuild := opt.Stats.Time("core.build")
-	spBuild := opt.Trace.Child("core.build")
-	res, err := dictionary.Build(p.Text, dictionary.Config{
+// Selection is a program's dictionary selection under one codeword
+// scheme, entry length and strategy, recorded before the entry budget is
+// applied. A build capped at m entries is exactly the first m selections
+// of any build with a larger cap (dictionary.Selection), so CompressWith
+// serves every budget up to the selection's own cap from one selection.
+type Selection struct {
+	sel         *dictionary.Selection
+	text        []uint32
+	scheme      codeword.Scheme
+	maxEntryLen int
+	strategy    dictionary.Strategy
+}
+
+// Candidates is a program's candidate index for one entry length. The
+// index depends on neither the codeword scheme nor the entry budget, so
+// the selections under every scheme share it. It is built on first use,
+// by the first Select that needs it and inside that selection's phases,
+// so every selection has the phases of a fresh SelectDictionary: markers
+// under core.analyze, enumeration and selection under core.build.
+type Candidates struct {
+	p           *program.Program
+	maxEntryLen int
+
+	analyzed     sync.Once
+	compressible []bool
+	leader       []bool
+	markErr      error
+
+	enumerated sync.Once
+	idx        *dictionary.Candidates
+	idxErr     error
+}
+
+// NewCandidates returns p's (not yet built) candidate index for one entry
+// length, as in normalized Options. The index references p.Text, which
+// must not change while it or a selection made from it is in use.
+func NewCandidates(p *program.Program, maxEntryLen int) *Candidates {
+	return &Candidates{p: p, maxEntryLen: maxEntryLen}
+}
+
+// SelectDictionary runs the front half of Compress: the §3.2.1 markers
+// (the core.analyze phase) and the dictionary selection (core.build) for
+// opt's scheme, entry length and strategy, up to opt.MaxEntries entries.
+// Leave MaxEntries 0 for the scheme-maximum selection that serves every
+// budget. The selection references p.Text, which must not change while
+// the selection is in use.
+func SelectDictionary(p *program.Program, opt Options) (*Selection, error) {
+	opt = opt.Normalized()
+	return NewCandidates(p, opt.MaxEntryLen).Select(opt)
+}
+
+// Select is SelectDictionary over the shared index: it computes the
+// markers and enumerates the candidates only if no earlier selection
+// has. opt's entry length must be the index's. The greedy strategy
+// selects from the index; the reference and static-order builders
+// enumerate for themselves.
+func (c *Candidates) Select(opt Options) (*Selection, error) {
+	opt = opt.Normalized()
+	if opt.MaxEntryLen != c.maxEntryLen {
+		return nil, fmt.Errorf("core: selection for entry length %d from an index of length %d", opt.MaxEntryLen, c.maxEntryLen)
+	}
+	c.analyzed.Do(func() {
+		stop := opt.Stats.Time("core.analyze")
+		sp := opt.Trace.Child("core.analyze")
+		c.compressible, c.leader, c.markErr = Markers(c.p)
+		sp.End()
+		stop()
+	})
+	if c.markErr != nil {
+		return nil, c.markErr
+	}
+	stop := opt.Stats.Time("core.build")
+	sp := opt.Trace.Child("core.build")
+	sel, err := c.selectDictionary(opt, sp)
+	sp.End()
+	stop()
+	if err != nil {
+		return nil, err
+	}
+	return &Selection{sel: sel, text: c.p.Text, scheme: opt.Scheme, maxEntryLen: opt.MaxEntryLen, strategy: opt.Strategy}, nil
+}
+
+// selectDictionary is the core.build phase of Select, with the builder's
+// spans nested under sp. The greedy strategy enumerates the shared index
+// if no earlier selection has.
+func (c *Candidates) selectDictionary(opt Options, sp *trace.Span) (*dictionary.Selection, error) {
+	cfg := dictionary.Config{
 		MaxEntries:        opt.MaxEntries,
 		MaxEntryLen:       opt.MaxEntryLen,
 		CodewordBits:      opt.Scheme.CodewordBits,
 		EntryOverheadBits: codeword.EntryOverheadBits,
-		Compressible:      compressible,
-		Leader:            an.Leader,
+		Compressible:      c.compressible,
+		Leader:            c.leader,
 		Strategy:          opt.Strategy,
 		Stats:             opt.Stats,
-		Trace:             spBuild,
-	})
-	spBuild.End()
-	stopBuild()
+		Trace:             sp,
+	}
+	if opt.Strategy != dictionary.Greedy {
+		return dictionary.Select(c.p.Text, cfg)
+	}
+	c.enumerated.Do(func() { c.idx, c.idxErr = dictionary.NewCandidates(c.p.Text, cfg) })
+	if c.idxErr != nil {
+		return nil, c.idxErr
+	}
+	return c.idx.Select(cfg)
+}
+
+// CompressWith runs the back half of Compress over a selection made for
+// p: it takes the selection's first opt.MaxEntries entries, re-ranks them
+// and assembles the image. The selection must have been made for opt's
+// scheme, entry length and strategy, with a cap of at least
+// opt.MaxEntries.
+func CompressWith(p *program.Program, sel *Selection, opt Options) (*Image, error) {
+	opt = opt.Normalized()
+	if sel.scheme != opt.Scheme || sel.maxEntryLen != opt.MaxEntryLen || sel.strategy != opt.Strategy {
+		return nil, fmt.Errorf("core: selection for %v/len %d/strategy %d used for %v/len %d/strategy %d",
+			sel.scheme, sel.maxEntryLen, sel.strategy, opt.Scheme, opt.MaxEntryLen, opt.Strategy)
+	}
+	if sel.sel.Cap() < opt.MaxEntries {
+		return nil, fmt.Errorf("core: selection capped at %d entries cannot serve %d", sel.sel.Cap(), opt.MaxEntries)
+	}
+	if !slices.Equal(sel.text, p.Text) {
+		return nil, fmt.Errorf("core: selection was made for a different program than %s", p.Name)
+	}
+	if opt.DynProfile != nil && len(opt.DynProfile) != len(p.Text) {
+		return nil, fmt.Errorf("core: profile length %d != text length %d", len(opt.DynProfile), len(p.Text))
+	}
+	res, err := sel.sel.Prefix(opt.MaxEntries)
 	if err != nil {
 		return nil, err
 	}
-
 	// Re-rank entries so the most frequent sequences receive the shortest
 	// codewords (§3.1.3) — by static use count, or by dynamic fetch count
 	// when a profile is supplied; remap item references.
-	if opt.DynProfile != nil && len(opt.DynProfile) != n {
-		return nil, fmt.Errorf("core: profile length %d != text length %d", len(opt.DynProfile), n)
-	}
 	rank := rerank(res, opt.DynProfile)
 	return assemble(p, opt, res, rank)
 }

@@ -427,3 +427,62 @@ func TestSmallDictionaryConfigs(t *testing.T) {
 		}
 	}
 }
+
+// TestNegativeMaxEntriesIsSchemeMaximum: any MaxEntries ≤ 0 means the
+// scheme's full codeword space. A negative budget used to reach the
+// builder as "unlimited" and overflow OneByte's 32 codewords.
+func TestNegativeMaxEntriesIsSchemeMaximum(t *testing.T) {
+	p, err := synth.Generate("compress")
+	if err != nil {
+		t.Fatal(err)
+	}
+	neg, err := Compress(p.Clone(), Options{Scheme: codeword.OneByte, MaxEntries: -1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	max, err := Compress(p.Clone(), Options{Scheme: codeword.OneByte})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if string(neg.Stream) != string(max.Stream) || len(neg.Entries) != len(max.Entries) {
+		t.Errorf("MaxEntries -1: %d entries, %d stream bytes; scheme maximum: %d entries, %d bytes",
+			len(neg.Entries), len(neg.Stream), len(max.Entries), len(max.Stream))
+	}
+	if got := (Options{Scheme: codeword.Nibble, MaxEntries: -7}).Normalized().MaxEntries; got != codeword.Nibble.MaxEntries() {
+		t.Errorf("Normalized MaxEntries -7 = %d, want %d", got, codeword.Nibble.MaxEntries())
+	}
+}
+
+// TestCompressWithPrefixMatchesCompress: an image cut from the
+// scheme-maximum selection equals a direct Compress under the same budget,
+// and one index serves the selections of every scheme.
+func TestCompressWithPrefixMatchesCompress(t *testing.T) {
+	p, err := synth.Generate("li")
+	if err != nil {
+		t.Fatal(err)
+	}
+	idx := NewCandidates(p, 8)
+	for _, s := range []codeword.Scheme{codeword.Baseline, codeword.Nibble, codeword.OneByte} {
+		sel, err := idx.Select(Options{Scheme: s, MaxEntryLen: 8})
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, m := range []int{1, 30, 500, 0} {
+			opt := Options{Scheme: s, MaxEntries: m, MaxEntryLen: 8}
+			got, err := CompressWith(p.Clone(), sel, opt)
+			if err != nil {
+				t.Fatal(err)
+			}
+			want, err := Compress(p.Clone(), opt)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if string(got.Stream) != string(want.Stream) || got.CompressedBytes() != want.CompressedBytes() {
+				t.Errorf("%v cap %d: prefix image differs from a direct compression", s, m)
+			}
+		}
+	}
+	if _, err := idx.Select(Options{Scheme: codeword.Baseline, MaxEntryLen: 4}); err == nil {
+		t.Error("an entry-length-8 index served a length-4 selection")
+	}
+}

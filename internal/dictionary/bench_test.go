@@ -66,8 +66,11 @@ func BenchmarkEnumerateIndexed(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		ix := newIndex(text, cfg)
-		if len(ix.cands) == 0 {
+		cs, err := NewCandidates(text, cfg)
+		if err != nil {
+			b.Fatal(err)
+		}
+		if cs.Len() == 0 {
 			b.Fatal("no candidates")
 		}
 	}

@@ -11,18 +11,22 @@
 // rescanning every candidate.
 //
 // Two interchangeable implementations of the greedy policy live here. The
-// default (index.go) interns candidates behind a rolling 64-bit hash and
-// maintains an occurrence index so selections invalidate only the
-// candidates they actually touch; the reference implementation (below)
-// is the direct transcription of the paper's algorithm, kept as the
-// differential oracle — both must produce byte-identical results on every
-// input (enforced by differential and fuzz tests).
+// default (index.go) splits a build into an immutable candidate index
+// (Candidates: sequences interned behind a rolling 64-bit hash, with an
+// occurrence index so selections invalidate only the candidates they
+// actually touch) and a per-build selection whose trace (Selection,
+// selection.go) serves every smaller entry budget as a prefix replay. The
+// reference implementation (below) is the direct transcription of the
+// paper's algorithm, kept as the differential oracle — both must produce
+// byte-identical results on every input (enforced by differential and
+// fuzz tests).
 package dictionary
 
 import (
 	"container/heap"
 	"encoding/binary"
 	"fmt"
+	"math"
 	"sort"
 
 	"repro/internal/stats"
@@ -140,32 +144,87 @@ type Result struct {
 	CoveredInsns int
 }
 
-// Build runs the selected algorithm over the program text.
+// Build runs the selected algorithm over the program text. For the
+// default Greedy strategy it is Select followed by the full Prefix, the
+// same code path a cached selection is replayed through; the reference
+// and static-order builders assemble their Result directly.
 func Build(text []uint32, cfg Config) (*Result, error) {
+	if cfg.Strategy != Greedy {
+		maxEntries, err := check(text, cfg)
+		if err != nil {
+			return nil, err
+		}
+		return buildUnindexed(text, cfg, maxEntries), nil
+	}
+	s, err := Select(text, cfg)
+	if err != nil {
+		return nil, err
+	}
+	sp := cfg.Trace.Child("dict.commit")
+	defer sp.End()
+	return s.Prefix(s.Len())
+}
+
+// Select runs the selected algorithm over the program text and returns
+// its trace, from which Prefix serves the build under any entry budget up
+// to cfg.MaxEntries.
+func Select(text []uint32, cfg Config) (*Selection, error) {
+	maxEntries, err := check(text, cfg)
+	if err != nil {
+		return nil, err
+	}
+	if cfg.Strategy != Greedy {
+		return selectionOf(text, buildUnindexed(text, cfg, maxEntries), maxEntries), nil
+	}
+	cs, err := NewCandidates(text, cfg)
+	if err != nil {
+		return nil, err
+	}
+	return cs.greedy(cfg, maxEntries), nil
+}
+
+// check validates cfg for text and resolves the entry budget.
+func check(text []uint32, cfg Config) (maxEntries int, err error) {
+	if err := checkInput(text, cfg); err != nil {
+		return 0, err
+	}
+	return checkSelect(cfg)
+}
+
+// checkInput validates the fields candidate enumeration depends on.
+func checkInput(text []uint32, cfg Config) error {
 	n := len(text)
 	if len(cfg.Compressible) != n || len(cfg.Leader) != n {
-		return nil, fmt.Errorf("dictionary: marker slices must match text length %d", n)
+		return fmt.Errorf("dictionary: marker slices must match text length %d", n)
 	}
 	if cfg.MaxEntryLen < 1 {
-		return nil, fmt.Errorf("dictionary: MaxEntryLen %d", cfg.MaxEntryLen)
+		return fmt.Errorf("dictionary: MaxEntryLen %d", cfg.MaxEntryLen)
 	}
+	return nil
+}
+
+// checkSelect validates the fields selection depends on and resolves the
+// entry budget.
+func checkSelect(cfg Config) (maxEntries int, err error) {
 	if cfg.CodewordBits == nil {
-		return nil, fmt.Errorf("dictionary: CodewordBits required")
+		return 0, fmt.Errorf("dictionary: CodewordBits required")
 	}
-	maxEntries := cfg.MaxEntries
-	if maxEntries <= 0 {
-		maxEntries = int(^uint(0) >> 1)
+	if cfg.Strategy != Greedy && cfg.Strategy != StaticOrder && cfg.Strategy != GreedyReference {
+		return 0, fmt.Errorf("dictionary: unknown strategy %d", cfg.Strategy)
 	}
-	switch cfg.Strategy {
-	case Greedy:
-		return buildIndexed(text, cfg, maxEntries), nil
-	case GreedyReference:
-		return buildReference(text, cfg, maxEntries), nil
-	case StaticOrder:
-		return buildStatic(text, cfg, maxEntries), nil
-	default:
-		return nil, fmt.Errorf("dictionary: unknown strategy %d", cfg.Strategy)
+	if cfg.MaxEntries <= 0 {
+		return math.MaxInt, nil
 	}
+	return cfg.MaxEntries, nil
+}
+
+// buildUnindexed runs one of the builders that do not use the candidate
+// index: the reference oracle or the static-order ablation.
+func buildUnindexed(text []uint32, cfg Config, maxEntries int) *Result {
+	if cfg.Strategy == StaticOrder {
+		return buildStatic(text, cfg, maxEntries)
+	}
+	return buildReference(text, cfg, maxEntries)
 }
 
 // buildReference is the paper's greedy algorithm as originally written:

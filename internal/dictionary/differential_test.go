@@ -7,6 +7,7 @@ package dictionary_test
 // changes. `make check` runs these explicitly (the `diff` target).
 
 import (
+	"fmt"
 	"reflect"
 	"testing"
 
@@ -35,16 +36,23 @@ func assertIdenticalBuilds(t *testing.T, text []uint32, cfg dictionary.Config) s
 	if err != nil {
 		t.Fatalf("reference build: %v", err)
 	}
+	assertEqualResults(t, "indexed vs reference", got, want)
+	return rec.Snapshot()
+}
+
+// assertEqualResults requires deeply equal Entries, Items and
+// CoveredInsns.
+func assertEqualResults(t *testing.T, label string, got, want *dictionary.Result) {
+	t.Helper()
 	if !reflect.DeepEqual(got.Entries, want.Entries) {
-		t.Fatalf("entries diverge: indexed %d entries, reference %d", len(got.Entries), len(want.Entries))
+		t.Fatalf("%s: entries diverge: %d entries vs %d", label, len(got.Entries), len(want.Entries))
 	}
 	if !reflect.DeepEqual(got.Items, want.Items) {
-		t.Fatalf("items diverge: indexed %d items, reference %d", len(got.Items), len(want.Items))
+		t.Fatalf("%s: items diverge: %d items vs %d", label, len(got.Items), len(want.Items))
 	}
 	if got.CoveredInsns != want.CoveredInsns {
-		t.Fatalf("covered %d != %d", got.CoveredInsns, want.CoveredInsns)
+		t.Fatalf("%s: covered %d != %d", label, got.CoveredInsns, want.CoveredInsns)
 	}
-	return rec.Snapshot()
 }
 
 func benchmarkInput(t *testing.T, name string) ([]uint32, dictionary.Config) {
@@ -114,6 +122,51 @@ func TestIndexedMatchesReferenceSweep(t *testing.T) {
 			nibble.CodewordBits = codeword.Nibble.CodewordBits
 			nibble.MaxEntries = codeword.Nibble.MaxEntries()
 			assertIdenticalBuilds(t, text, nibble)
+		})
+	}
+}
+
+// TestCappedBuildIsPrefix pins the prefix property that lets one
+// selection serve every entry budget: the scheme-maximum greedy selection
+// cut to m entries must equal the reference builder run with
+// MaxEntries = m, an independent oracle that really stops at m. All eight
+// benchmarks, the three headline schemes, entry lengths 4 and 8.
+func TestCappedBuildIsPrefix(t *testing.T) {
+	schemes := []codeword.Scheme{codeword.Baseline, codeword.Nibble, codeword.OneByte}
+	for _, name := range synth.BenchmarkNames() {
+		name := name
+		t.Run(name, func(t *testing.T) {
+			t.Parallel()
+			text, base := benchmarkInput(t, name)
+			for _, scheme := range schemes {
+				for _, maxLen := range []int{4, 8} {
+					cfg := base
+					cfg.CodewordBits = scheme.CodewordBits
+					cfg.MaxEntries = scheme.MaxEntries()
+					cfg.MaxEntryLen = maxLen
+					sel, err := dictionary.Select(text, cfg)
+					if err != nil {
+						t.Fatal(err)
+					}
+					for _, m := range []int{1, 16, 100, scheme.MaxEntries()} {
+						if m > scheme.MaxEntries() {
+							continue
+						}
+						got, err := sel.Prefix(m)
+						if err != nil {
+							t.Fatal(err)
+						}
+						ref := cfg
+						ref.MaxEntries = m
+						ref.Strategy = dictionary.GreedyReference
+						want, err := dictionary.Build(text, ref)
+						if err != nil {
+							t.Fatal(err)
+						}
+						assertEqualResults(t, fmt.Sprintf("%v len %d cap %d", scheme, maxLen, m), got, want)
+					}
+				}
+			}
 		})
 	}
 }

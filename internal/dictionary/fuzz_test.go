@@ -3,10 +3,12 @@ package dictionary
 // Fuzz differential: random texts, compressibility masks and leader masks
 // are fed to the indexed and reference greedy builders, which must agree
 // exactly — including when the candidate hash is deliberately degraded to
-// a single byte so the collision chain carries essentially all lookups.
-// The seed corpus runs on every plain `go test`.
+// a single byte so the collision chain carries essentially all lookups,
+// and when the indexed selection is cut to a fuzzed entry budget instead
+// of being built under it. The seed corpus runs on every plain `go test`.
 
 import (
+	"fmt"
 	"reflect"
 	"testing"
 
@@ -85,11 +87,11 @@ func assertSameResult(t *testing.T, label string, got, want *Result) {
 }
 
 func FuzzBuildDifferential(f *testing.F) {
-	f.Add([]byte{0, 0, 0, 0, 0, 0, 0, 0}, uint8(4))
-	f.Add([]byte{1, 2, 1, 2, 1, 2, 1, 2, 1, 2}, uint8(2))
-	f.Add([]byte{7, 7, 0x9f, 7, 7, 0xe1, 7, 7, 7, 0x18, 7, 7}, uint8(8))
-	f.Add([]byte{3, 1, 4, 1, 5, 9, 2, 6, 5, 3, 5, 8, 9, 7, 9, 3, 1, 4, 1, 5, 9, 2, 6}, uint8(3))
-	f.Fuzz(func(t *testing.T, data []byte, maxLenRaw uint8) {
+	f.Add([]byte{0, 0, 0, 0, 0, 0, 0, 0}, uint8(4), uint8(0))
+	f.Add([]byte{1, 2, 1, 2, 1, 2, 1, 2, 1, 2}, uint8(2), uint8(1))
+	f.Add([]byte{7, 7, 0x9f, 7, 7, 0xe1, 7, 7, 7, 0x18, 7, 7}, uint8(8), uint8(2))
+	f.Add([]byte{3, 1, 4, 1, 5, 9, 2, 6, 5, 3, 5, 8, 9, 7, 9, 3, 1, 4, 1, 5, 9, 2, 6}, uint8(3), uint8(47))
+	f.Fuzz(func(t *testing.T, data []byte, maxLenRaw, capRaw uint8) {
 		text, comp, lead := fuzzInput(data)
 		if len(text) == 0 {
 			t.Skip()
@@ -107,6 +109,22 @@ func FuzzBuildDifferential(f *testing.F) {
 		cfg.Strategy = Greedy
 		got := mustBuild(t, text, cfg)
 		assertSameResult(t, "indexed vs reference", got, want)
+
+		// Prefix property: the selection under the full budget, cut to a
+		// fuzzed cap of 1..MaxEntries, must equal the reference build run
+		// under that cap.
+		sel, err := Select(text, cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		capped := cfg
+		capped.MaxEntries = int(capRaw)%cfg.MaxEntries + 1
+		prefix, err := sel.Prefix(capped.MaxEntries)
+		if err != nil {
+			t.Fatal(err)
+		}
+		capped.Strategy = GreedyReference
+		assertSameResult(t, fmt.Sprintf("prefix %d vs capped reference", capped.MaxEntries), prefix, mustBuild(t, text, capped))
 
 		// Degraded hash: every bucket collides, output must not move.
 		cfg.degradeHash = true

@@ -1,6 +1,7 @@
 // The indexed greedy builder: the default implementation of the paper's
-// §3.1 algorithm, rebuilt around an occurrence index so selection is
-// incremental instead of rescan-everything.
+// §3.1 algorithm, split into an immutable candidate index (Candidates)
+// and a cheap per-build selection over it, so one enumeration serves
+// every selection over the same text and entry length.
 //
 // Three mechanisms replace the reference builder's hot spots:
 //
@@ -13,17 +14,22 @@
 //  2. A start-position → occurrences inverted index makes invalidation
 //     exact: the moment a selection covers a word range, every candidate
 //     occurrence overlapping that range is tombstoned and its candidate
-//     marked dirty. Coverage is therefore fully encoded in the occurrence
-//     lists themselves — a live occurrence is free by construction — so
-//     re-valuing a candidate never walks covered words at all.
+//     marked dirty. Coverage is therefore fully encoded in the tombstones
+//     — a live occurrence is free by construction — so re-valuing a
+//     candidate never walks covered words at all.
 //
 //  3. Each candidate carries its live-occurrence count and a cached
 //     greedy use count that stays exact while the candidate is clean.
 //     A heap pop of a clean candidate recomputes savings from the cached
 //     uses in O(1) (dict.dirty_skips); only dirty candidates rescan their
-//     occurrence list, and that rescan compacts tombstones out so dead
-//     occurrences are skipped once and never revisited — the "next free
-//     position" role the covered-word walk played in the reference.
+//     occurrence list, with a skip pointer past the leading tombstones so
+//     dead occurrences are skipped once and never revisited — the "next
+//     free position" role the covered-word walk played in the reference.
+//
+// The index is flat int32 arrays with no per-candidate pointers, and the
+// tombstones, use counts and heap live in the per-build selector, so the
+// index is never written after construction and concurrent selections
+// may share it.
 //
 // The heap discipline is unchanged from the reference: cached savings are
 // upper bounds (uses only shrink, CodewordBits is non-decreasing in rank),
@@ -35,7 +41,7 @@
 package dictionary
 
 import (
-	"container/heap"
+	"fmt"
 	"math"
 )
 
@@ -56,147 +62,105 @@ func rollHash(h uint64, w uint32) uint64 {
 	return h
 }
 
-// icand is one interned candidate of the indexed builder.
-type icand struct {
-	words  []uint32
-	k      int32
-	serial int32   // deterministic tie-break rank (word-lexicographic)
-	pos    []int32 // sorted occurrence starts; -1 tombstones dead ones
-	from   int32   // scans start here: index of the first live occurrence
-	live   int32   // occurrences not yet tombstoned
-	uses   int32   // cached greedy non-overlap count; exact while !dirty
-	val    int     // heap key: savings computed from uses at a past rank
-	dirty  bool    // an occurrence died since uses was computed
-	dead   bool    // worthless, fully covered, or already selected
-	next   *icand  // hash-bucket collision chain
-}
-
-// occRef locates one occurrence inside its candidate's position list.
-type occRef struct {
-	c   *icand
-	idx int32
-}
-
-// index is the enumeration result plus the inverted occurrence index.
-type index struct {
-	cands  []*icand // creation order during enumeration, then re-sorted to serial order
-	occ    []occRef // occurrence refs grouped by start position
-	occOff []int32  // start position → occ[occOff[p]:occOff[p+1]]
+// Candidates is the enumeration half of the indexed greedy builder: every
+// compressible in-block sequence of length 1..MaxEntryLen of one text,
+// with its occurrence list and the inverted start-position index that
+// selection invalidates through. It depends only on the text, the
+// Compressible and Leader markers and MaxEntryLen — not on the codeword
+// schedule or the entry budget — so one index serves every selection over
+// the same program and entry length. It is immutable and safe for
+// concurrent Select calls. It references the text instead of copying it:
+// callers must not modify the text while the index, or a Selection made
+// from it, is in use.
+type Candidates struct {
+	text   []uint32
 	maxLen int
 
-	invalidations int64
-	collisions    int64
+	// Candidate c, numbered in serial (word-lexicographic) order, has
+	// length klen[c] and sorted occurrence starts pos[posOff[c]:posOff[c+1]];
+	// its words are text[s:s+klen[c]] at any of those starts s.
+	klen   []int32
+	posOff []int32
+	pos    []int32
 
-	// Allocation arenas. Candidates are numerous and tiny, so each gets
-	// carved out of a fixed-capacity chunk instead of its own heap object:
-	// the icand record itself, its interned words, and an initial
-	// posArenaCap-slot occurrence list (longer lists spill to the heap via
-	// ordinary append). Chunks are never grown in place — when one fills, a
-	// fresh chunk is started — so pointers and sub-slices handed out earlier
-	// stay valid for the life of the build.
-	candSlab  []icand
-	wordArena []uint32
-	posArena  []int32
+	// The occurrences starting at word j are exactly the lengths
+	// 1..startOff[j+1]-startOff[j] (enumeration extends a sequence until
+	// an incompressible word or a leader stops it), so slot
+	// startOff[j]+k-1 is the length-k occurrence at j: slotOcc holds its
+	// index into pos and slotCand its candidate.
+	startOff []int32
+	slotOcc  []int32
+	slotCand []int32
+
+	collisions int64
 }
 
-const (
-	candSlabCap  = 1024
-	wordArenaCap = 4096
-	posArenaCap  = 4 // initial pos capacity per candidate
-)
-
-// buildIndexed runs the indexed greedy algorithm. Output is byte-identical
-// to buildReference.
-func buildIndexed(text []uint32, cfg Config, maxEntries int) *Result {
-	n := len(text)
-	if n >= math.MaxInt32 {
-		// Occurrence starts are int32; nothing real comes within two
-		// orders of magnitude of this.
-		return buildReference(text, cfg, maxEntries)
+// NewCandidates enumerates the candidate index of text under cfg's
+// Compressible, Leader and MaxEntryLen; the other Config fields are not
+// consulted except Stats and Trace, which receive dict.candidates,
+// dict.hash_collisions and the dict.enumerate span.
+func NewCandidates(text []uint32, cfg Config) (*Candidates, error) {
+	if err := checkInput(text, cfg); err != nil {
+		return nil, err
 	}
-	spE := cfg.Trace.Child("dict.enumerate")
-	ix := newIndex(text, cfg)
-	spE.SetInt("candidates", int64(len(ix.cands))).End()
-	cfg.Stats.Add("dict.candidates", int64(len(ix.cands)))
-	cfg.Stats.Add("dict.hash_collisions", ix.collisions)
-
-	covered := make([]bool, n)
-	coverEntry := newCoverEntry(n)
-	res := &Result{}
-
-	spS := cfg.Trace.Child("dict.select")
-	rank := 0
-	var pops, reevals, dirtySkips int64
-	h := make(icandHeap, 0, len(ix.cands))
-	for _, c := range ix.cands {
-		c.uses = initialUses(c)
-		c.val = savings(int(c.uses), int(c.k), cfg, rank)
-		if c.val > 0 {
-			h = append(h, c)
-		}
+	if len(text) >= math.MaxInt32 {
+		return nil, fmt.Errorf("dictionary: text of %d words exceeds the index's int32 positions", len(text))
 	}
-	heap.Init(&h)
-	for h.Len() > 0 && rank < maxEntries {
-		c := heap.Pop(&h).(*icand)
-		pops++
-		if c.dead {
-			continue
-		}
-		if c.dirty {
-			rescan(c)
-		} else {
-			dirtySkips++
-		}
-		v := savings(int(c.uses), int(c.k), cfg, rank)
-		if v <= 0 {
-			c.dead = true
-			continue
-		}
-		if v < c.val {
-			c.val = v
-			heap.Push(&h, c)
-			reevals++
-			continue
-		}
-		ix.commit(c, rank, covered, coverEntry, res)
-		cfg.Stats.ObserveValue("dict.selection_bits", int64(v))
-		c.dead = true
-		rank++
-	}
-	cfg.Stats.Add("dict.heap_pops", pops)
-	cfg.Stats.Add("dict.reevaluations", reevals)
-	cfg.Stats.Add("dict.dirty_skips", dirtySkips)
-	cfg.Stats.Add("dict.invalidations", ix.invalidations)
-	cfg.Stats.Add("dict.entries", int64(rank))
-	spS.SetInt("entries", int64(rank)).End()
-	spC := cfg.Trace.Child("dict.commit")
-	assembleItems(text, covered, coverEntry, res)
-	spC.End()
-	return res
+	sp := cfg.Trace.Child("dict.enumerate")
+	cs := enumerateIndexed(text, cfg)
+	sp.SetInt("candidates", int64(cs.Len())).End()
+	cfg.Stats.Add("dict.candidates", int64(cs.Len()))
+	cfg.Stats.Add("dict.hash_collisions", cs.collisions)
+	return cs, nil
 }
 
-// newIndex enumerates every compressible in-block sequence of length
-// 1..MaxEntryLen, interning candidates by rolling hash, and records the
-// inverted start-position index used for incremental invalidation.
-func newIndex(text []uint32, cfg Config) *index {
+// Len is the number of distinct candidate sequences.
+func (cs *Candidates) Len() int { return len(cs.klen) }
+
+// Select runs the Greedy strategy over the index; cfg supplies the entry
+// budget, the codeword schedule and the sinks, and its Compressible,
+// Leader and MaxEntryLen fields are ignored in favour of the index's own.
+// The other strategies do not use the index: call the package-level
+// Select for them.
+func (cs *Candidates) Select(cfg Config) (*Selection, error) {
+	maxEntries, err := checkSelect(cfg)
+	if err != nil {
+		return nil, err
+	}
+	if cfg.Strategy != Greedy {
+		return nil, fmt.Errorf("dictionary: strategy %d does not select from a candidate index", cfg.Strategy)
+	}
+	return cs.greedy(cfg, maxEntries), nil
+}
+
+// enumerateIndexed builds the index in two passes. The first interns
+// every sequence by rolling hash and records, per occurrence slot, the
+// candidate in creation order. The second renumbers candidates into
+// serial order and lays the occurrence lists out contiguously; walking
+// slots in start order keeps every list sorted.
+func enumerateIndexed(text []uint32, cfg Config) *Candidates {
 	n := len(text)
-	ix := &index{
-		maxLen: cfg.MaxEntryLen,
-		occ:    make([]occRef, 0, 2*n),
-		occOff: make([]int32, n+1),
+	cs := &Candidates{
+		text:     text,
+		maxLen:   cfg.MaxEntryLen,
+		startOff: make([]int32, n+1),
 	}
 	hashMask := ^uint64(0)
 	if cfg.degradeHash {
 		hashMask = 0xff
 	}
-	byHash := make(map[uint64]*icand, n)
+	// Per candidate in creation order: first start, length, occurrence
+	// count and the next candidate in its hash bucket (-1 ends a chain).
+	var first, klen, count, next []int32
+	byHash := make(map[uint64]int32, n)
+	slots := make([]int32, 0, 2*n)
 	for i := 0; i < n; i++ {
-		ix.occOff[i] = int32(len(ix.occ))
+		cs.startOff[i] = int32(len(slots))
 		if !cfg.Compressible[i] {
 			continue
 		}
 		h := fnvOffset64
-		for k := 1; k <= ix.maxLen && i+k <= n; k++ {
+		for k := 1; k <= cs.maxLen && i+k <= n; k++ {
 			j := i + k - 1
 			if !cfg.Compressible[j] {
 				break
@@ -205,166 +169,312 @@ func newIndex(text []uint32, cfg Config) *index {
 				break // would span into the next basic block
 			}
 			h = rollHash(h, text[j])
-			c := ix.intern(byHash, h&hashMask, text[i:i+k])
-			c.pos = append(c.pos, int32(i))
-			ix.occ = append(ix.occ, occRef{c: c, idx: int32(len(c.pos) - 1)})
+			head, ok := byHash[h&hashMask]
+			id := int32(-1)
+			if ok {
+				for t := head; t >= 0; t = next[t] {
+					if int(klen[t]) == k && equalWords(text[first[t]:int(first[t])+k], text[i:i+k]) {
+						id = t
+						break
+					}
+				}
+			}
+			if id < 0 {
+				id = int32(len(first))
+				if ok {
+					cs.collisions++
+				} else {
+					head = -1
+				}
+				first = append(first, int32(i))
+				klen = append(klen, int32(k))
+				count = append(count, 0)
+				next = append(next, head)
+				byHash[h&hashMask] = id
+			}
+			count[id]++
+			slots = append(slots, id)
 		}
 	}
-	ix.occOff[n] = int32(len(ix.occ))
-	for _, c := range ix.cands {
-		c.live = int32(len(c.pos))
-	}
+	cs.startOff[n] = int32(len(slots))
+	byHash = nil // collectable before the index arrays below are allocated
+
 	// Deterministic serials matching the reference builder exactly: a
 	// word-lexicographic compare (shorter prefix first) orders candidates
 	// identically to sorting their big-endian byte keys.
-	sortCandsByWords(ix.cands)
-	for s, c := range ix.cands {
-		c.serial = int32(s)
+	m := len(first)
+	order := make([]int32, m)
+	for i := range order {
+		order[i] = int32(i)
 	}
-	return ix
-}
+	words := func(t int32) []uint32 { return text[first[t] : first[t]+klen[t]] }
+	mergeSort(order, make([]int32, m), func(a, b int32) bool { return lessWords(words(a), words(b)) })
 
-// intern returns the candidate for seq, creating it on first sight.
-// Buckets are keyed by the full 64-bit hash; the chain compare of the
-// actual words makes collisions harmless (merely counted).
-func (ix *index) intern(byHash map[uint64]*icand, h uint64, seq []uint32) *icand {
-	head := byHash[h]
-	for c := head; c != nil; c = c.next {
-		if int(c.k) == len(seq) && equalWords(c.words, seq) {
-			return c
+	serialOf := next // the bucket chains are done with; reuse their storage
+	cs.klen = make([]int32, m)
+	cs.posOff = make([]int32, m+1)
+	for s, t := range order {
+		serialOf[t] = int32(s)
+		cs.klen[s] = klen[t]
+		cs.posOff[s+1] = cs.posOff[s] + count[t]
+	}
+	fill := count // next free slot of each candidate's list, by serial
+	copy(fill, cs.posOff[:m])
+	cs.pos = make([]int32, len(slots))
+	cs.slotOcc = make([]int32, len(slots))
+	cs.slotCand = slots // renumbered in place below
+	for j := 0; j < n; j++ {
+		for s := cs.startOff[j]; s < cs.startOff[j+1]; s++ {
+			c := serialOf[slots[s]]
+			o := fill[c]
+			fill[c]++
+			cs.pos[o] = int32(j)
+			cs.slotOcc[s] = o
+			cs.slotCand[s] = c
 		}
 	}
-	c := ix.newCand(seq)
-	c.next = head
-	if head != nil {
-		ix.collisions++
-	}
-	byHash[h] = c
-	ix.cands = append(ix.cands, c)
-	return c
+	return cs
 }
 
-// newCand carves a candidate record, its interned words, and an initial
-// occurrence-list reservation out of the index arenas.
-func (ix *index) newCand(seq []uint32) *icand {
-	if len(ix.candSlab) == cap(ix.candSlab) {
-		ix.candSlab = make([]icand, 0, candSlabCap)
-	}
-	ix.candSlab = append(ix.candSlab, icand{k: int32(len(seq))})
-	c := &ix.candSlab[len(ix.candSlab)-1]
+// selector is the per-build state of one greedy selection over a shared
+// index: occurrence tombstones, per-candidate cached counts and the lazy
+// max-heap, plus the Selection being recorded.
+type selector struct {
+	cs *Candidates
 
-	if cap(ix.wordArena)-len(ix.wordArena) < len(seq) {
-		ix.wordArena = make([]uint32, 0, wordArenaCap)
-	}
-	w := len(ix.wordArena)
-	ix.wordArena = append(ix.wordArena, seq...)
-	c.words = ix.wordArena[w:len(ix.wordArena):len(ix.wordArena)]
+	dead  []bool  // per occurrence: tombstoned by a cover
+	from  []int32 // per candidate: scans start here, the first possibly-live occurrence
+	live  []int32 // per candidate: occurrences not yet tombstoned
+	uses  []int32 // per candidate: cached greedy non-overlap count; exact while !dirty
+	val   []int   // per candidate: heap key, savings computed from uses at a past rank
+	dirty []bool  // per candidate: an occurrence died since uses was computed
+	gone  []bool  // per candidate: worthless, fully covered, or already selected
+	heap  []int32 // max-heap of candidates by (val desc, serial asc)
 
-	if cap(ix.posArena)-len(ix.posArena) < posArenaCap {
-		ix.posArena = make([]int32, 0, posArenaCap*candSlabCap)
+	sel           *Selection
+	invalidations int64
+}
+
+// greedy runs the indexed greedy algorithm. Its Selection is
+// byte-identical to the reference builder's.
+func (cs *Candidates) greedy(cfg Config, maxEntries int) *Selection {
+	m, occs := cs.Len(), len(cs.pos)
+	g := &selector{
+		cs:    cs,
+		dead:  make([]bool, occs),
+		from:  make([]int32, m),
+		live:  make([]int32, m),
+		uses:  make([]int32, m),
+		val:   make([]int, m),
+		dirty: make([]bool, m),
+		gone:  make([]bool, m),
+		heap:  make([]int32, 0, m),
+		sel:   newSelection(cs.text, maxEntries),
 	}
-	p := len(ix.posArena)
-	c.pos = ix.posArena[p : p : p+posArenaCap]
-	ix.posArena = ix.posArena[:p+posArenaCap]
-	return c
+	spS := cfg.Trace.Child("dict.select")
+	rank := 0
+	var pops, reevals, dirtySkips int64
+	for c := int32(0); int(c) < m; c++ {
+		g.from[c] = cs.posOff[c]
+		g.live[c] = cs.posOff[c+1] - cs.posOff[c]
+		g.uses[c] = g.initialUses(c)
+		g.val[c] = savings(int(g.uses[c]), int(cs.klen[c]), cfg, rank)
+		if g.val[c] > 0 {
+			g.heap = append(g.heap, c)
+		}
+	}
+	for i := len(g.heap)/2 - 1; i >= 0; i-- {
+		g.down(i)
+	}
+	for len(g.heap) > 0 && rank < maxEntries {
+		c := g.pop()
+		pops++
+		if g.gone[c] {
+			continue
+		}
+		if g.dirty[c] {
+			g.rescan(c)
+		} else {
+			dirtySkips++
+		}
+		v := savings(int(g.uses[c]), int(cs.klen[c]), cfg, rank)
+		if v <= 0 {
+			g.gone[c] = true
+			continue
+		}
+		if v < g.val[c] {
+			g.val[c] = v
+			g.push(c)
+			reevals++
+			continue
+		}
+		g.commit(c, rank)
+		cfg.Stats.ObserveValue("dict.selection_bits", int64(v))
+		g.gone[c] = true
+		rank++
+	}
+	cfg.Stats.Add("dict.heap_pops", pops)
+	cfg.Stats.Add("dict.reevaluations", reevals)
+	cfg.Stats.Add("dict.dirty_skips", dirtySkips)
+	cfg.Stats.Add("dict.invalidations", g.invalidations)
+	cfg.Stats.Add("dict.entries", int64(rank))
+	spS.SetInt("entries", int64(rank)).End()
+	return g.sel
 }
 
 // initialUses is the greedy non-overlap count before anything is covered.
-func initialUses(c *icand) int32 {
+func (g *selector) initialUses(c int32) int32 {
+	cs := g.cs
 	var uses int32
 	last := int32(-1)
-	for _, p := range c.pos {
+	for _, p := range cs.pos[cs.posOff[c]:cs.posOff[c+1]] {
 		if p <= last {
 			continue
 		}
 		uses++
-		last = p + c.k - 1
+		last = p + cs.klen[c] - 1
 	}
 	return uses
 }
 
-// rescan recomputes the cached use count of a dirty candidate. Tombstones
-// stay in place — the inverted index holds stable positions into pos — but
-// the skip pointer advances past the leading dead run so repeated rescans
-// of a mostly-consumed candidate start at its first live occurrence
-// instead of re-walking covered territory. Every live occurrence is free
-// by construction: cover tombstones all occurrences overlapping a range at
+// rescan recomputes the cached use count of a dirty candidate. The skip
+// pointer advances past the leading dead run, so repeated rescans of a
+// mostly-consumed candidate start at its first live occurrence instead of
+// re-walking covered territory. Every live occurrence is free by
+// construction: cover tombstones all occurrences overlapping a range at
 // the moment the range is covered.
-func rescan(c *icand) {
+func (g *selector) rescan(c int32) {
+	cs := g.cs
 	var uses int32
 	last := int32(-1)
-	from := c.from
+	from := g.from[c]
 	atFront := true
-	for i := int(c.from); i < len(c.pos); i++ {
-		p := c.pos[i]
-		if p < 0 {
+	for o := g.from[c]; o < cs.posOff[c+1]; o++ {
+		if g.dead[o] {
 			if atFront {
-				from = int32(i) + 1
+				from = o + 1
 			}
 			continue
 		}
 		atFront = false
+		p := cs.pos[o]
 		if p <= last {
 			continue
 		}
 		uses++
-		last = p + c.k - 1
+		last = p + cs.klen[c] - 1
 	}
-	c.from = from
-	c.uses = uses
-	c.dirty = false
+	g.from[c] = from
+	g.uses[c] = uses
+	g.dirty[c] = false
 }
 
 // commit records c as the entry with the given rank, covering each
 // accepted occurrence and invalidating — through the inverted index —
 // exactly the occurrences that overlap the newly covered words.
-func (ix *index) commit(c *icand, rank int, covered []bool, coverEntry []int, res *Result) {
+func (g *selector) commit(c int32, rank int) {
+	cs := g.cs
+	k := cs.klen[c]
 	uses := 0
-	last := int32(-1)
-	k := int(c.k)
-	for i := int(c.from); i < len(c.pos); i++ {
-		p := c.pos[i]
-		if p < 0 || p <= last { // tombstoned (possibly by an earlier cover in this loop) or overlapping
+	first, last := int32(-1), int32(-1)
+	for o := g.from[c]; o < cs.posOff[c+1]; o++ {
+		p := cs.pos[o]
+		if g.dead[o] || p <= last { // tombstoned (possibly by an earlier cover in this loop) or overlapping
 			continue
 		}
-		ix.cover(int(p), k, covered)
-		coverEntry[p] = rank
+		g.cover(p, k, int32(rank))
+		if first < 0 {
+			first = p
+		}
 		uses++
-		last = p + c.k - 1
+		last = p + k - 1
 	}
-	res.Entries = append(res.Entries, Entry{Words: c.words, Uses: uses})
-	res.CoveredInsns += uses * k
+	g.sel.add(first, k, int32(uses))
 }
 
-// cover marks words p..p+k-1 covered and tombstones every candidate
-// occurrence overlapping that range: an occurrence starting at j with
-// length kc overlaps iff j < p+k and j+kc > p, so only starts in
-// [p-maxLen+1, p+k) need visiting.
-func (ix *index) cover(p, k int, covered []bool) {
+// cover assigns words p..p+k-1 to the entry of the given rank and
+// tombstones every candidate occurrence overlapping that range: an
+// occurrence starting at j with length kc overlaps iff j < p+k and
+// j+kc > p, so only starts in [p-maxLen+1, p+k) need visiting, and at a
+// start j < p only the lengths kc > p-j.
+func (g *selector) cover(p, k, rank int32) {
+	cs := g.cs
 	for j := p; j < p+k; j++ {
-		covered[j] = true
+		g.sel.rankOf[j] = rank
 	}
-	lo := p - ix.maxLen + 1
+	lo := p - int32(cs.maxLen) + 1
 	if lo < 0 {
 		lo = 0
 	}
 	for j := lo; j < p+k; j++ {
-		for _, r := range ix.occ[ix.occOff[j]:ix.occOff[j+1]] {
-			c := r.c
-			if c.pos[r.idx] < 0 {
-				continue // already dead
-			}
-			if j < p && int(c.k) <= p-j {
-				continue // ends before the covered range
-			}
-			c.pos[r.idx] = -1
-			c.live--
-			c.dirty = true
-			if c.live == 0 {
-				c.dead = true
-			}
-			ix.invalidations++
+		s := cs.startOff[j]
+		if j < p {
+			s += p - j
 		}
+		for ; s < cs.startOff[j+1]; s++ {
+			o := cs.slotOcc[s]
+			if g.dead[o] {
+				continue
+			}
+			g.dead[o] = true
+			c := cs.slotCand[s]
+			g.live[c]--
+			g.dirty[c] = true
+			if g.live[c] == 0 {
+				g.gone[c] = true
+			}
+			g.invalidations++
+		}
+	}
+}
+
+// less orders the heap: larger cached savings first, lower serial on
+// ties — the same discipline as the reference builder's heap.
+func (g *selector) less(a, b int32) bool {
+	if g.val[a] != g.val[b] {
+		return g.val[a] > g.val[b]
+	}
+	return a < b
+}
+
+func (g *selector) push(c int32) {
+	g.heap = append(g.heap, c)
+	h := g.heap
+	for i := len(h) - 1; i > 0; {
+		parent := (i - 1) / 2
+		if !g.less(h[i], h[parent]) {
+			break
+		}
+		h[i], h[parent] = h[parent], h[i]
+		i = parent
+	}
+}
+
+func (g *selector) pop() int32 {
+	h := g.heap
+	top, last := h[0], len(h)-1
+	h[0] = h[last]
+	g.heap = h[:last]
+	g.down(0)
+	return top
+}
+
+func (g *selector) down(i int) {
+	h := g.heap
+	for {
+		l := 2*i + 1
+		if l >= len(h) {
+			return
+		}
+		best := l
+		if r := l + 1; r < len(h) && g.less(h[r], h[l]) {
+			best = r
+		}
+		if !g.less(h[best], h[i]) {
+			return
+		}
+		h[i], h[best] = h[best], h[i]
+		i = best
 	}
 }
 
@@ -396,25 +506,17 @@ func lessWords(a, b []uint32) bool {
 	return len(a) < len(b)
 }
 
-// sortCandsByWords sorts candidates word-lexicographically. Keys are
-// unique, so any comparison sort yields the same total order; this is a
-// bespoke merge sort to avoid sort.Slice's interface overhead on the
-// builder's one O(m log m) step.
-func sortCandsByWords(cands []*icand) {
-	if len(cands) < 2 {
-		return
-	}
-	buf := make([]*icand, len(cands))
-	mergeSortCands(cands, buf)
-}
-
-func mergeSortCands(s, buf []*icand) {
+// mergeSort sorts s by less using buf (len(buf) >= len(s)) as scratch.
+// Keys are unique, so any comparison sort yields the same total order;
+// this is a bespoke merge sort to avoid sort.Slice's interface overhead
+// on the index's one O(m log m) step.
+func mergeSort(s, buf []int32, less func(a, b int32) bool) {
 	if len(s) < 2 {
 		return
 	}
 	m := len(s) / 2
-	mergeSortCands(s[:m], buf[:m])
-	mergeSortCands(s[m:], buf[m:])
+	mergeSort(s[:m], buf[:m], less)
+	mergeSort(s[m:], buf[m:], less)
 	copy(buf, s)
 	i, j := 0, m
 	for k := range s {
@@ -425,7 +527,7 @@ func mergeSortCands(s, buf []*icand) {
 		case j >= len(s):
 			s[k] = buf[i]
 			i++
-		case lessWords(buf[j].words, buf[i].words):
+		case less(buf[j], buf[i]):
 			s[k] = buf[j]
 			j++
 		default:
@@ -433,26 +535,4 @@ func mergeSortCands(s, buf []*icand) {
 			i++
 		}
 	}
-}
-
-// icandHeap is a max-heap over cached savings, serial ascending on ties —
-// the same discipline as the reference builder's heap.
-type icandHeap []*icand
-
-func (h icandHeap) Len() int { return len(h) }
-func (h icandHeap) Less(i, j int) bool {
-	if h[i].val != h[j].val {
-		return h[i].val > h[j].val
-	}
-	return h[i].serial < h[j].serial
-}
-func (h icandHeap) Swap(i, j int)       { h[i], h[j] = h[j], h[i] }
-func (h *icandHeap) Push(x interface{}) { *h = append(*h, x.(*icand)) }
-func (h *icandHeap) Pop() interface{} {
-	old := *h
-	n := len(old)
-	c := old[n-1]
-	old[n-1] = nil
-	*h = old[:n-1]
-	return c
 }

@@ -90,11 +90,11 @@ bench:
 # BENCH_dictionary.json (ns/op, B/op, allocs/op, and histogram quantiles
 # such as selbits-p50/p90/p99 and explen-p50/p90/p99). BENCH_SAMPLES runs
 # each benchmark that many times so the report carries raw samples — the
-# fuel for 95% confidence intervals and the -significant gate.
+# fuel for 95% confidence intervals and the significance-aware gate.
 BENCH_SAMPLES ?= 5
 bench-json:
 	$(GO) test -run '^$$' -bench '^BenchmarkDictionaryBuild$$|^BenchmarkCompressSweep$$|^BenchmarkNativeExecution$$|^BenchmarkCompressedExecution$$|^BenchmarkSampledExecution$$' -count=$(BENCH_SAMPLES) -benchmem . \
-		| $(GO) run ./cmd/benchjson > BENCH_dictionary.json
+		| $(GO) run ./cmd/benchdiff -record > BENCH_dictionary.json
 	@echo wrote BENCH_dictionary.json
 
 # Just the execution-speed pair (native vs compressed through the
@@ -103,7 +103,7 @@ bench-json:
 # execution engine, without the multi-minute dictionary sweeps.
 bench-exec:
 	$(GO) test -run '^$$' -bench '^BenchmarkNativeExecution$$|^BenchmarkCompressedExecution$$|^BenchmarkSampledExecution$$' -count=$(BENCH_SAMPLES) -benchmem . \
-		| $(GO) run ./cmd/benchjson > BENCH_exec.json
+		| $(GO) run ./cmd/benchdiff -record > BENCH_exec.json
 	@echo wrote BENCH_exec.json
 
 # Compare a fresh bench-json run against the committed baseline. The gate
@@ -117,7 +117,7 @@ RATIO_MAX ?= 1.15
 SAMPLED_MAX ?= 1.10
 BASELINE ?= baselines/BENCH_dictionary.json
 bench-diff:
-	$(GO) run ./cmd/benchdiff -threshold $(THRESHOLD) -significant \
+	$(GO) run ./cmd/benchdiff -threshold $(THRESHOLD) \
 		-max compressed_vs_native_ratio=$(RATIO_MAX) \
 		-max sampled_profiling_overhead_ratio=$(SAMPLED_MAX) \
 		$(BASELINE) $(NEW)
@@ -129,18 +129,18 @@ bench-diff:
 LEDGER ?= perf-ledger.jsonl
 bench-append:
 	@test -f $(LEDGER) || cp baselines/perf-ledger.jsonl $(LEDGER)
-	$(GO) run ./cmd/cctrend -append BENCH_dictionary.json \
+	$(GO) run ./cmd/benchdiff -append $(LEDGER) \
 		-commit $$(git rev-parse HEAD) \
 		-time $$(date -u +%Y-%m-%dT%H:%M:%SZ) \
-		$(LEDGER)
+		BENCH_dictionary.json
 	@echo appended to $(LEDGER)
 
 # Render the ledger as a standalone HTML timeline (sparklines with CI
 # bands, changepoint marks, worst-regressions table) plus aligned text.
 bench-trend:
 	@test -f $(LEDGER) || cp baselines/perf-ledger.jsonl $(LEDGER)
-	$(GO) run ./cmd/cctrend -o trend.html $(LEDGER)
-	$(GO) run ./cmd/cctrend -text $(LEDGER)
+	$(GO) run ./cmd/ccreport -o trend.html $(LEDGER)
+	$(GO) run ./cmd/ccreport -text $(LEDGER)
 	@echo wrote trend.html
 
 # Byte-provenance table (stdout). The per-benchmark audit files ride in

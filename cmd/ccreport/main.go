@@ -1,6 +1,6 @@
-// Command ccreport renders a run bundle — or a pairwise diff of two
-// bundles — as a standalone, dependency-free HTML page or an aligned
-// text report.
+// Command ccreport is the repository's one reader: it renders a run
+// bundle, a pairwise diff of two bundles, or the perf-history ledger as a
+// standalone, dependency-free HTML page or an aligned text report.
 //
 // Usage:
 //
@@ -8,6 +8,11 @@
 //	ccreport -o report.html dir     # same, to a file
 //	ccreport -text dir              # aligned text instead of HTML
 //	ccreport -diff olddir newdir    # pairwise diff report
+//	ccreport perf-ledger.jsonl      # perf trend: sparklines with 95% CI
+//	                                # bands, changepoints, worst regressions
+//
+// A directory argument is a bundle; a regular file is a ledger written by
+// `benchdiff -append`.
 package main
 
 import (
@@ -17,6 +22,7 @@ import (
 	"os"
 
 	"repro/internal/obs"
+	"repro/internal/perfhist"
 )
 
 func main() {
@@ -27,7 +33,7 @@ func main() {
 	)
 	flag.Usage = func() {
 		fmt.Fprintf(flag.CommandLine.Output(),
-			"usage: ccreport [-o out] [-text] BUNDLEDIR\n       ccreport [-o out] [-text] -diff OLDDIR NEWDIR\n")
+			"usage: ccreport [-o out] [-text] BUNDLEDIR|LEDGER.jsonl\n       ccreport [-o out] [-text] -diff OLDDIR NEWDIR\n")
 		flag.PrintDefaults()
 	}
 	flag.Parse()
@@ -63,7 +69,14 @@ func buildReport(diff bool, args []string) (*obs.Report, error) {
 		return obs.DiffReport(obs.NewDiff(old, new)), nil
 	}
 	if len(args) != 1 {
-		return nil, fmt.Errorf("need exactly one bundle directory, got %d", len(args))
+		return nil, fmt.Errorf("need exactly one bundle directory or ledger file, got %d", len(args))
+	}
+	if fi, err := os.Stat(args[0]); err == nil && fi.Mode().IsRegular() {
+		entries, err := perfhist.Load(args[0])
+		if err != nil {
+			return nil, err
+		}
+		return perfhist.TrendReport(entries), nil
 	}
 	b, err := obs.Open(args[0])
 	if err != nil {

@@ -1,6 +1,6 @@
 // Package benchfmt owns the repository's BENCH_*.json trajectory format:
-// parsing `go test -bench` output into it (command benchjson), comparing
-// two trajectory files (command benchdiff), and the sample statistics —
+// parsing `go test -bench` output into it and comparing two trajectory
+// files (both command benchdiff), and the sample statistics —
 // per-metric distributions with 95% confidence intervals and a
 // Mann-Whitney U significance test — that make those comparisons robust
 // to run-to-run noise. Keeping the schema in one package means the
@@ -94,7 +94,9 @@ func ReadFile(path string) (*Report, error) {
 // one benchmark name — what `go test -count=N` emits — accumulate as
 // samples: the point fields become per-metric means, Iterations the total
 // across runs, and Samples the raw observations feeding Dist and the
-// Mann-Whitney significance test.
+// Mann-Whitney significance test. The -GOMAXPROCS suffix `go test` appends
+// to names on multi-core hosts is stripped, so runs on any host merge and
+// compare under the same names.
 func Parse(sc *bufio.Scanner) (*Report, error) {
 	sc.Buffer(make([]byte, 1<<16), 1<<20)
 	rep := &Report{}
@@ -205,7 +207,7 @@ func parseBench(line string) (Benchmark, error) {
 	if err != nil {
 		return Benchmark{}, fmt.Errorf("iterations: %w", err)
 	}
-	b := Benchmark{Name: f[0], Iterations: iters}
+	b := Benchmark{Name: trimProcs(f[0]), Iterations: iters}
 	for i := 2; i+1 < len(f); i += 2 {
 		v, err := strconv.ParseFloat(f[i], 64)
 		if err != nil {
@@ -229,6 +231,16 @@ func parseBench(line string) (Benchmark, error) {
 		}
 	}
 	return b, nil
+}
+
+// trimProcs drops a trailing -<digits> GOMAXPROCS suffix from a benchmark
+// name ("BenchmarkX-8" -> "BenchmarkX"), as Go's own benchfmt does.
+func trimProcs(name string) string {
+	if i := strings.LastIndexByte(name, '-'); i >= 0 && i < len(name)-1 &&
+		strings.Trim(name[i+1:], "0123456789") == "" {
+		return name[:i]
+	}
+	return name
 }
 
 // Dist returns the distribution of the named metric: computed over the
@@ -385,7 +397,7 @@ func pairwiseRatios(num, den []float64) []float64 {
 }
 
 // Ceiling is one absolute bound on a metric: unlike the relative
-// Regressions gate, it fails on the value itself (e.g.
+// SignificantRegressions gate, it fails on the value itself (e.g.
 // compressed_vs_native_ratio must stay under 1.15 no matter what the
 // baseline said).
 type Ceiling struct {
@@ -531,23 +543,12 @@ func newDelta(ob, nb Benchmark, metric string, oldV, newV float64) MetricDelta {
 	return d
 }
 
-// Regressions returns the deltas whose value grew by more than threshold
-// percent. All tracked metrics are costs (time, bytes, quantile sizes),
-// so growth is always the bad direction.
-func (c *Comparison) Regressions(threshold float64) []MetricDelta {
-	var out []MetricDelta
-	for _, d := range c.Deltas {
-		if d.Pct() > threshold {
-			out = append(out, d)
-		}
-	}
-	return out
-}
-
-// SignificantRegressions filters Regressions down to the deltas that are
-// also statistically significant at alpha: a mean that grew past the
-// threshold but whose distributions the Mann-Whitney test cannot tell
-// apart is scheduler noise, not a regression. Deltas without enough
+// SignificantRegressions returns the deltas whose value grew by more than
+// threshold percent and that are also statistically significant at alpha.
+// All tracked metrics are costs (time, bytes, quantile sizes), so growth
+// is always the bad direction. A mean that grew past the threshold but
+// whose distributions the Mann-Whitney test cannot tell apart is scheduler
+// noise, not a regression. Deltas without enough
 // samples for the test (either side single-sample) are kept — absence of
 // evidence must fail the gate, not wave it through.
 func (c *Comparison) SignificantRegressions(threshold, alpha float64) []MetricDelta {

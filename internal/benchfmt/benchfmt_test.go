@@ -35,7 +35,7 @@ func TestParse(t *testing.T) {
 		t.Fatalf("got %d benchmarks", len(rep.Benchmarks))
 	}
 	b := rep.Benchmarks[0]
-	if b.Name != "BenchmarkCompressNibble/go-8" || b.Iterations != 10 || b.NsPerOp != 123456789 {
+	if b.Name != "BenchmarkCompressNibble/go" || b.Iterations != 10 || b.NsPerOp != 123456789 {
 		t.Fatalf("bench 0: %+v", b)
 	}
 	if b.Metrics["ratio"] != 0.45 || b.BytesPerOp == nil || *b.BytesPerOp != 1024 {
@@ -55,9 +55,9 @@ func TestParseRejectsEmpty(t *testing.T) {
 func TestCompare(t *testing.T) {
 	old := parseSample(t)
 	newer := parseSample(t)
-	newer.Benchmarks[0].NsPerOp *= 1.5                // 50% slower
-	newer.Benchmarks[1].Metrics["selbits-p99"] = 44   // improved
-	newer.Benchmarks[1].Name = "BenchmarkRenamed/x-8" // disappeared + appeared
+	newer.Benchmarks[0].NsPerOp *= 1.5              // 50% slower
+	newer.Benchmarks[1].Metrics["selbits-p99"] = 44 // improved
+	newer.Benchmarks[1].Name = "BenchmarkRenamed/x" // disappeared + appeared
 
 	c := Compare(old, newer)
 	if len(c.OldOnly) != 1 || len(c.NewOnly) != 1 {
@@ -67,7 +67,7 @@ func TestCompare(t *testing.T) {
 	var ns, ratio *MetricDelta
 	for i := range c.Deltas {
 		d := &c.Deltas[i]
-		if d.Bench != "BenchmarkCompressNibble/go-8" {
+		if d.Bench != "BenchmarkCompressNibble/go" {
 			t.Fatalf("unexpected delta %+v", d)
 		}
 		switch d.Metric {
@@ -87,10 +87,12 @@ func TestCompare(t *testing.T) {
 		t.Fatalf("ratio pct %v", ratio.Pct())
 	}
 
-	if regs := c.Regressions(20); len(regs) != 1 || regs[0].Metric != "ns/op" {
+	// Single-sample sides cannot be tested, so the gate keeps every delta
+	// past the threshold.
+	if regs := c.SignificantRegressions(20, DefaultAlpha); len(regs) != 1 || regs[0].Metric != "ns/op" {
 		t.Fatalf("regressions(20): %+v", regs)
 	}
-	if regs := c.Regressions(60); len(regs) != 0 {
+	if regs := c.SignificantRegressions(60, DefaultAlpha); len(regs) != 0 {
 		t.Fatalf("regressions(60): %+v", regs)
 	}
 }
@@ -202,7 +204,7 @@ func TestParseAccumulatesSamples(t *testing.T) {
 		t.Fatalf("got %d benchmarks, want 2", len(rep.Benchmarks))
 	}
 	x := rep.Benchmarks[0]
-	if x.Name != "BenchmarkX-8" {
+	if x.Name != "BenchmarkX" {
 		t.Fatalf("bench 0: %+v", x)
 	}
 	if x.Iterations != 33 {
@@ -228,6 +230,53 @@ func TestParseAccumulatesSamples(t *testing.T) {
 	}
 }
 
+// TestParseStripsProcsSuffix: on a multi-core host `go test` names every
+// benchmark with a -GOMAXPROCS suffix. Parse strips it, so -count
+// duplicates still merge, AddDerived finds its inputs, and the names match
+// a baseline recorded anywhere else.
+func TestParseStripsProcsSuffix(t *testing.T) {
+	const out = `pkg: repro
+BenchmarkNativeExecution-2       100   200 ns/op   16129 steps/op
+BenchmarkNativeExecution-2       100   210 ns/op   16129 steps/op
+BenchmarkCompressedExecution-2   100   220 ns/op   16129 steps/op
+BenchmarkCompressedExecution-2   100   231 ns/op   16129 steps/op
+BenchmarkDictionaryBuild/full/indexed-2   1   900 ns/op
+PASS
+`
+	rep, err := Parse(bufio.NewScanner(strings.NewReader(out)))
+	if err != nil {
+		t.Fatal(err)
+	}
+	rep.AddDerived()
+	var names []string
+	for _, b := range rep.Benchmarks {
+		names = append(names, b.Name)
+	}
+	if got, want := strings.Join(names, " "), "BenchmarkNativeExecution BenchmarkCompressedExecution BenchmarkDictionaryBuild/full/indexed"; got != want {
+		t.Fatalf("names = %q, want %q", got, want)
+	}
+	native, _ := rep.Find("BenchmarkNativeExecution")
+	if got := native.Samples[MetricNs]; len(got) != 2 || got[0] != 200 || got[1] != 210 {
+		t.Errorf("native ns samples = %v, want [200 210]", got)
+	}
+	comp, _ := rep.Find("BenchmarkCompressedExecution")
+	if got := comp.Samples["compressed_vs_native_ratio"]; len(got) != 2 || got[0] != 1.1 || got[1] != 1.1 {
+		t.Errorf("compressed_vs_native_ratio samples = %v, want [1.1 1.1]", got)
+	}
+	if got := comp.Metrics["compressed_vs_native_ratio"]; math.Abs(got-1.1) > 1e-12 {
+		t.Errorf("compressed_vs_native_ratio = %v, want 1.1", got)
+	}
+	// Only a trailing all-digit field is the suffix.
+	for in, want := range map[string]string{
+		"BenchmarkX-16": "BenchmarkX", "BenchmarkX/size-a": "BenchmarkX/size-a",
+		"BenchmarkX-": "BenchmarkX-", "BenchmarkX": "BenchmarkX",
+	} {
+		if got := trimProcs(in); got != want {
+			t.Errorf("trimProcs(%q) = %q, want %q", in, got, want)
+		}
+	}
+}
+
 func TestSamplesRoundTripJSON(t *testing.T) {
 	rep := parseCount(t)
 	data, err := json.Marshal(rep)
@@ -241,7 +290,7 @@ func TestSamplesRoundTripJSON(t *testing.T) {
 	if got := back.Benchmarks[0].Samples[MetricNs]; len(got) != 3 {
 		t.Fatalf("samples lost in round-trip: %v", got)
 	}
-	if strings.Contains(string(data), `"BenchmarkY-8","iterations":5,"ns_per_op":500,"samples"`) {
+	if strings.Contains(string(data), `"BenchmarkY","iterations":5,"ns_per_op":500,"samples"`) {
 		t.Fatal("single-sample benchmark serialized a samples field")
 	}
 }

@@ -5,7 +5,7 @@ import (
 	"sort"
 )
 
-// DefaultAlpha is the significance level the -significant gate and the
+// DefaultAlpha is the significance level benchdiff's regression gate and the
 // trend changepoint detector use: a delta counts as real only when the
 // Mann-Whitney test rejects "same distribution" at p <= 0.05.
 const DefaultAlpha = 0.05

@@ -28,9 +28,8 @@ import (
 
 // Method is the stable one-byte codec id recorded in serialized image
 // frames. Values are wire format: never renumber them. The dictionary
-// schemes must keep their codeword.Scheme numeric values so version-1
-// image files (whose header stored the raw scheme byte) keep their
-// meaning.
+// schemes keep their codeword.Scheme numeric values, the scheme byte
+// their payloads also carry.
 type Method uint8
 
 // Registered method bytes.

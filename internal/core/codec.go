@@ -14,9 +14,8 @@ import (
 )
 
 // The four dictionary schemes register themselves as codecs; their method
-// bytes equal the raw codeword.Scheme values, which is what version-1
-// image files stored, so old files keep their meaning under the new
-// self-describing framing.
+// bytes equal the raw codeword.Scheme values, which the payload also
+// stores, so the frame's method byte and the body's scheme byte agree.
 func init() {
 	codec.Register(schemeCodec{codeword.Baseline}, "2byte")
 	codec.Register(schemeCodec{codeword.OneByte}, "1byte")
@@ -34,8 +33,7 @@ func (img *Image) NewMachine() (*machine.CPU, error) { return NewMachine(img) }
 
 // WriteImagePayload serializes a dictionary image body: everything the
 // PPCZ container stores after its frame header, including the
-// verification marks (sideband metadata). The layout is the version-1
-// PPCZ body, unchanged, so both container versions share one coder.
+// verification marks (sideband metadata).
 func WriteImagePayload(dst io.Writer, img *Image) error {
 	w := wire.NewWriter(dst)
 	w.Str(img.Name)
@@ -143,6 +141,15 @@ func ReadImagePayload(src io.Reader) (*Image, error) {
 	}
 	if err := r.Err(); err != nil {
 		return nil, err
+	}
+	// Units sizes the predecode table, so it must fit in the stream it
+	// counts; an unchecked value would be an allocation bomb.
+	if img.Scheme > codeword.Liao {
+		return nil, fmt.Errorf("core: unknown scheme %v in image", img.Scheme)
+	}
+	if maxUnits := 8 * len(img.Stream) / img.Scheme.UnitBits(); img.Units > maxUnits {
+		return nil, fmt.Errorf("core: image claims %d units but its %d-byte stream holds at most %d",
+			img.Units, len(img.Stream), maxUnits)
 	}
 	return img, nil
 }

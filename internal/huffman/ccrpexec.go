@@ -136,6 +136,9 @@ func (img *CCRPImage) decodeLine(ln int) ([]uint32, error) {
 		}
 		raw = dec
 	}
+	if len(raw) < nbytes {
+		return nil, fmt.Errorf("huffman: line %d holds %d bytes, want %d", ln, len(raw), nbytes)
+	}
 	words := make([]uint32, nbytes/4)
 	for i := range words {
 		words[i] = uint32(raw[4*i])<<24 | uint32(raw[4*i+1])<<16 |

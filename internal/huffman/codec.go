@@ -83,6 +83,12 @@ func ReadCCRPImagePayload(src io.Reader) (*CCRPImage, error) {
 	if img.LineSize <= 0 || img.LineSize%4 != 0 {
 		return nil, fmt.Errorf("huffman: bad line size %d in image", img.LineSize)
 	}
+	if len(img.Raw) != len(img.Lines) {
+		return nil, fmt.Errorf("huffman: %d raw flags for %d lines", len(img.Raw), len(img.Lines))
+	}
+	if want := (img.NumWords*4 + img.LineSize - 1) / img.LineSize; len(img.Lines) != want {
+		return nil, fmt.Errorf("huffman: image has %d lines, %d words of text need %d", len(img.Lines), img.NumWords, want)
+	}
 	code, err := NewCodeFromLens(lens)
 	if err != nil {
 		return nil, err

@@ -9,14 +9,14 @@
 //
 // where method is the codec registry's stable frame byte and the payload
 // is that codec's image serialization, so any tool can open any image
-// without being told its encoding. Version 1 files (dictionary images
-// only) carried the body directly after the magic with the scheme byte
-// inside the body; they are detected by their first post-magic byte — a
-// name-length high byte, always below the 0xFF sentinel — and still load.
+// without being told its encoding. Any other byte after the magic —
+// including the headerless version-1 layout, which no writer produces any
+// more — is rejected with ErrUnsupportedFrame.
 package objfile
 
 import (
 	"bufio"
+	"errors"
 	"fmt"
 	"io"
 
@@ -40,11 +40,13 @@ const (
 	// ImageVersion is the current container version.
 	ImageVersion = 2
 
-	// frameSentinel introduces a versioned frame header. Version-1 files
-	// cannot produce it there: the byte after the magic is the high byte of
-	// a uint16 name length bounded by wire.MaxStr (1<<12).
+	// frameSentinel introduces a versioned frame header.
 	frameSentinel = 0xFF
 )
+
+// ErrUnsupportedFrame reports a PPCZ file whose container OpenImage cannot
+// read: no versioned frame header after the magic, or an unknown version.
+var ErrUnsupportedFrame = errors.New("objfile: unsupported image frame")
 
 // WriteProgram serializes a linked program.
 func WriteProgram(dst io.Writer, p *program.Program) error {
@@ -203,26 +205,9 @@ func WriteImage(dst io.Writer, img codec.Image) error {
 	return bw.Flush()
 }
 
-// WriteImageV1 serializes a dictionary image as a version-1 frame (no
-// header; the scheme byte lives in the body). Kept for interoperability
-// with pre-versioning readers and as the writer side of the backward-
-// compatibility tests; new files should use WriteImage.
-func WriteImageV1(dst io.Writer, img *core.Image) error {
-	bw := bufio.NewWriter(dst)
-	if _, err := bw.Write(magicImage[:]); err != nil {
-		return err
-	}
-	if err := core.WriteImagePayload(bw, img); err != nil {
-		return err
-	}
-	return bw.Flush()
-}
-
-// OpenImage deserializes a compressed image of any version: the codec is
-// inferred from the frame's method byte (version 2), or defaulted to the
-// dictionary codec recorded in the old in-body scheme byte (version 1).
-// Callers dispatch on the concrete type or on the codec.Executable /
-// codec.Auditable facets.
+// OpenImage deserializes a compressed image: the codec is inferred from
+// the frame's method byte. Callers dispatch on the concrete type or on the
+// codec.Executable / codec.Auditable facets.
 func OpenImage(src io.Reader) (codec.Image, error) {
 	br := bufio.NewReader(src)
 	r := wire.NewReader(br)
@@ -233,22 +218,15 @@ func OpenImage(src io.Reader) (codec.Image, error) {
 	if string(magic) != string(magicImage[:]) {
 		return nil, fmt.Errorf("objfile: bad image magic %q", magic)
 	}
-	next, err := br.Peek(1)
-	if err != nil {
+	var hdr [2]byte
+	if _, err := io.ReadFull(br, hdr[:]); err != nil {
 		return nil, fmt.Errorf("objfile: truncated image frame: %w", err)
 	}
-	if next[0] != frameSentinel {
-		// Version 1: the body follows the magic directly; its scheme byte
-		// selects the dictionary codec.
-		return core.ReadImagePayload(br)
+	if hdr[0] != frameSentinel {
+		return nil, fmt.Errorf("%w: no frame header (headerless version-1 images are no longer read)", ErrUnsupportedFrame)
 	}
-	br.Discard(1)
-	version, err := br.ReadByte()
-	if err != nil {
-		return nil, fmt.Errorf("objfile: truncated image frame: %w", err)
-	}
-	if version != ImageVersion {
-		return nil, fmt.Errorf("objfile: unsupported image version %d (have %d)", version, ImageVersion)
+	if hdr[1] != ImageVersion {
+		return nil, fmt.Errorf("%w: version %d (have %d)", ErrUnsupportedFrame, hdr[1], ImageVersion)
 	}
 	method, err := br.ReadByte()
 	if err != nil {
@@ -261,8 +239,7 @@ func OpenImage(src io.Reader) (codec.Image, error) {
 	return c.Open(br)
 }
 
-// ReadImage deserializes a dictionary-scheme compressed image of either
-// container version. It is the typed convenience over OpenImage for
+// ReadImage deserializes a dictionary-scheme compressed image. It is the typed convenience over OpenImage for
 // callers that specifically need the paper's dictionary method.
 func ReadImage(src io.Reader) (*core.Image, error) {
 	img, err := OpenImage(src)

@@ -2,12 +2,15 @@ package objfile
 
 import (
 	"bytes"
+	"encoding/binary"
+	"errors"
 	"reflect"
 	"testing"
 
 	"repro/internal/codec"
 	"repro/internal/codeword"
 	"repro/internal/core"
+	"repro/internal/huffman"
 	"repro/internal/program"
 	"repro/internal/synth"
 )
@@ -143,61 +146,92 @@ func TestDictionaryRoundTrip(t *testing.T) {
 	}
 }
 
-// TestImageV1BackwardCompat: version-1 frames (no header, scheme byte in
-// the body) must keep loading through both OpenImage and ReadImage, and
-// must decode to exactly the image a current-version frame carries.
-func TestImageV1BackwardCompat(t *testing.T) {
+// TestImageV1Rejected: a headerless version-1 file (the dictionary
+// payload directly after the magic) fails with the typed frame error
+// through both readers instead of being parsed.
+func TestImageV1Rejected(t *testing.T) {
 	p, err := synth.Generate("compress")
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, scheme := range []codeword.Scheme{codeword.Baseline, codeword.OneByte, codeword.Nibble, codeword.Liao} {
-		img, err := core.Compress(p.Clone(), core.Options{Scheme: scheme})
-		if err != nil {
-			t.Fatal(err)
-		}
-		var v1, v2 bytes.Buffer
-		if err := WriteImageV1(&v1, img); err != nil {
-			t.Fatal(err)
-		}
-		if err := WriteImage(&v2, img); err != nil {
-			t.Fatal(err)
-		}
-		// The v2 frame is the v1 file with the 3-byte header spliced in
-		// after the magic; the payload bytes are identical.
-		if got, want := v2.Len(), v1.Len()+3; got != want {
-			t.Fatalf("%v: v2 frame is %d bytes, want v1+header %d", scheme, got, want)
-		}
-		if !bytes.Equal(v2.Bytes()[7:], v1.Bytes()[4:]) {
-			t.Fatalf("%v: v2 payload differs from v1 body", scheme)
-		}
-		from1, err := OpenImage(bytes.NewReader(v1.Bytes()))
-		if err != nil {
-			t.Fatalf("%v: open v1: %v", scheme, err)
-		}
-		from2, err := OpenImage(bytes.NewReader(v2.Bytes()))
-		if err != nil {
-			t.Fatalf("%v: open v2: %v", scheme, err)
-		}
-		if !reflect.DeepEqual(from1, from2) {
-			t.Fatalf("%v: v1 and v2 decode to different images", scheme)
-		}
-		d1, ok := from1.(*core.Image)
-		if !ok {
-			t.Fatalf("%v: v1 frame decoded to %T", scheme, from1)
-		}
-		if d1.Scheme != scheme {
-			t.Fatalf("%v: v1 frame decoded scheme %v", scheme, d1.Scheme)
-		}
-		if err := core.Verify(p, d1); err != nil {
-			t.Fatalf("%v: verify v1-loaded image: %v", scheme, err)
-		}
-		// The typed reader accepts both container versions.
-		for i, buf := range [][]byte{v1.Bytes(), v2.Bytes()} {
-			if _, err := ReadImage(bytes.NewReader(buf)); err != nil {
-				t.Fatalf("%v: ReadImage v%d: %v", scheme, i+1, err)
-			}
-		}
+	img, err := core.Compress(p.Clone(), core.Options{Scheme: codeword.Nibble})
+	if err != nil {
+		t.Fatal(err)
+	}
+	v1 := bytes.NewBufferString("PPCZ")
+	if err := core.WriteImagePayload(v1, img); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := OpenImage(bytes.NewReader(v1.Bytes())); !errors.Is(err, ErrUnsupportedFrame) {
+		t.Errorf("OpenImage(v1) = %v, want ErrUnsupportedFrame", err)
+	}
+	if _, err := ReadImage(bytes.NewReader(v1.Bytes())); !errors.Is(err, ErrUnsupportedFrame) {
+		t.Errorf("ReadImage(v1) = %v, want ErrUnsupportedFrame", err)
+	}
+}
+
+// TestImageUnitsBombRejected: a dictionary image whose Units field claims
+// far more units than its stream holds would size a ~2^31-slot predecode
+// table; OpenImage must refuse it.
+func TestImageUnitsBombRejected(t *testing.T) {
+	p, err := synth.Generate("compress")
+	if err != nil {
+		t.Fatal(err)
+	}
+	img, err := core.Compress(p.Clone(), core.Options{Scheme: codeword.Nibble})
+	if err != nil {
+		t.Fatal(err)
+	}
+	var buf bytes.Buffer
+	if err := WriteImage(&buf, img); err != nil {
+		t.Fatal(err)
+	}
+	// Frame header 7 bytes, then name (uint16 length + bytes), scheme byte,
+	// and the uint32 Units field.
+	raw := buf.Bytes()
+	off := 7 + 2 + len(img.Name) + 1
+	if got := binary.BigEndian.Uint32(raw[off:]); got != uint32(img.Units) {
+		t.Fatalf("test setup: Units at offset %d is %d, want %d", off, got, img.Units)
+	}
+	binary.BigEndian.PutUint32(raw[off:], 1<<31-1)
+	if _, err := OpenImage(bytes.NewReader(raw)); err == nil {
+		t.Fatal("image with Units = 2^31-1 accepted")
+	}
+}
+
+// TestCCRPShortLineRejected: a CCRP image whose first line is stored raw
+// but truncated to one byte must fail with an error, at open or at run,
+// never panic in the line decoder.
+func TestCCRPShortLineRejected(t *testing.T) {
+	p, err := synth.Generate("compress")
+	if err != nil {
+		t.Fatal(err)
+	}
+	cd, err := codec.ByName("ccrp")
+	if err != nil {
+		t.Fatal(err)
+	}
+	img, err := cd.Compress(p, codec.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	ci := img.(*huffman.CCRPImage)
+	ci.Raw[0] = true
+	ci.Lines[0] = ci.Lines[0][:1]
+	var buf bytes.Buffer
+	if err := WriteImage(&buf, ci); err != nil {
+		t.Fatal(err)
+	}
+	opened, err := OpenImage(bytes.NewReader(buf.Bytes()))
+	if err != nil {
+		return
+	}
+	cpu, err := opened.(codec.Executable).NewMachine()
+	if err != nil {
+		return
+	}
+	if _, err := cpu.Run(1_000_000); err == nil {
+		t.Fatal("CCRP image with a truncated raw line ran without error")
 	}
 }
 

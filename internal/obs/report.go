@@ -153,6 +153,20 @@ func fmtF(v float64) string {
 	return strconv.FormatFloat(v, 'f', 3, 64)
 }
 
+// FormatValue renders a benchmark metric value compactly: integers bare,
+// magnitudes of 1000 and above without a fraction, the rest with four
+// significant digits. The perf-trend report and benchdiff's delta table
+// both print through it.
+func FormatValue(v float64) string {
+	if v == math.Trunc(v) && math.Abs(v) < 1e15 {
+		return strconv.FormatInt(int64(v), 10)
+	}
+	if math.Abs(v) >= 1000 {
+		return strconv.FormatFloat(v, 'f', 0, 64)
+	}
+	return strconv.FormatFloat(v, 'g', 4, 64)
+}
+
 // fmtBitsAsBytes renders a bit count as exact (possibly fractional) bytes.
 func fmtBitsAsBytes(bits int64) string {
 	if bits%8 == 0 {

@@ -3,8 +3,9 @@
 // deposits one entry — the run's identity (git commit, caller-supplied
 // timestamp, toolchain, CPU, options fingerprint) plus its aggregated
 // benchfmt report, samples included. The ledger is the durable timeline
-// behind `make bench-trend` and cmd/cctrend: where BENCH_*.json is one
-// point and benchdiff a pairwise delta, the ledger answers per-metric
+// behind `make bench-trend` (`benchdiff -append` writes it, `ccreport
+// LEDGER` renders it): where BENCH_*.json is one point and a benchdiff
+// comparison a pairwise delta, the ledger answers per-metric
 // time series, flags changepoints (mean steps whose 95% confidence
 // intervals do not overlap), and ranks the worst recent regressions.
 //

@@ -62,9 +62,14 @@ func TrendReport(entries []Entry) *obs.Report {
 	if worst := WorstRegressions(series); len(worst) > 0 {
 		r.Tables = append(r.Tables, worstTable(worst))
 	}
-	for _, bench := range benchOrder(series) {
-		group := benchSeries(series, bench)
-		r.Tables = append(r.Tables, timelineTable(bench, group))
+	// Trend sorts by benchmark, so each benchmark's series are adjacent.
+	for lo := 0; lo < len(series); {
+		hi := lo + 1
+		for hi < len(series) && series[hi].Bench == series[lo].Bench {
+			hi++
+		}
+		r.Tables = append(r.Tables, timelineTable(series[lo].Bench, series[lo:hi]))
+		lo = hi
 	}
 	return r
 }
@@ -86,34 +91,11 @@ func worstTable(worst []Regression) obs.ReportTable {
 			sig = "yes"
 		}
 		t.Rows = append(t.Rows, []string{
-			w.Bench, w.Metric, fmtVal(w.From.Dist.Mean), fmtVal(w.To.Dist.Mean),
+			w.Bench, w.Metric, obs.FormatValue(w.From.Dist.Mean), obs.FormatValue(w.To.Dist.Mean),
 			fmt.Sprintf("%+.1f%%", w.Pct), sig,
 		})
 	}
 	return t
-}
-
-// benchOrder returns the distinct benchmark names in series order.
-func benchOrder(series []Series) []string {
-	var order []string
-	seen := map[string]bool{}
-	for _, s := range series {
-		if !seen[s.Bench] {
-			seen[s.Bench] = true
-			order = append(order, s.Bench)
-		}
-	}
-	return order
-}
-
-func benchSeries(series []Series, bench string) []Series {
-	var out []Series
-	for _, s := range series {
-		if s.Bench == bench {
-			out = append(out, s)
-		}
-	}
-	return out
 }
 
 func timelineTable(bench string, group []Series) obs.ReportTable {
@@ -138,7 +120,7 @@ func timelineTable(bench string, group []Series) obs.ReportTable {
 			steps = strings.Join(marks, " ")
 		}
 		t.Rows = append(t.Rows, []string{
-			s.Metric, strconv.Itoa(len(s.Points)), fmtVal(firstD.Mean), fmtVal(lastD.Mean), delta, steps,
+			s.Metric, strconv.Itoa(len(s.Points)), obs.FormatValue(firstD.Mean), obs.FormatValue(lastD.Mean), delta, steps,
 		})
 	}
 	return t
@@ -189,7 +171,7 @@ func sparklines(group []Series) template.HTML {
 		for i, p := range s.Points {
 			r := "2.5"
 			fill := colLine
-			title := fmt.Sprintf("%s @ %s: %s", s.Metric, shortCommit(p.Commit), fmtVal(p.Dist.Mean))
+			title := fmt.Sprintf("%s @ %s: %s", s.Metric, shortCommit(p.Commit), obs.FormatValue(p.Dist.Mean))
 			if hasStep(s.Changepoints, i) {
 				r, fill = "4", colStep
 				title += " (changepoint)"
@@ -200,7 +182,7 @@ func sparklines(group []Series) template.HTML {
 		fmt.Fprintf(&sb, `<text x="0" y="%s" font-size="11" font-family="system-ui,sans-serif" fill="%s">%s</text>`,
 			coord(top+float64(sparkRowH)/2+4), colInkDim, template.HTMLEscapeString(s.Metric))
 		fmt.Fprintf(&sb, `<text x="%d" y="%s" font-size="11" font-family="system-ui,sans-serif" fill="%s" text-anchor="end">%s</text>`,
-			width, coord(top+float64(sparkRowH)/2+4), colInk, template.HTMLEscapeString(fmtVal(s.Last().Dist.Mean)))
+			width, coord(top+float64(sparkRowH)/2+4), colInk, template.HTMLEscapeString(obs.FormatValue(s.Last().Dist.Mean)))
 	}
 	sb.WriteString(`</svg>`)
 	return template.HTML(sb.String())
@@ -232,19 +214,6 @@ func hasStep(steps []int, i int) bool {
 // coord formats an SVG coordinate with one fixed decimal — deterministic
 // and fine-grained enough at sparkline scale.
 func coord(v float64) string { return strconv.FormatFloat(v, 'f', 1, 64) }
-
-// fmtVal renders a metric value compactly (same contract as benchdiff's
-// num): integers bare, large values without fractions, small ones with 4
-// significant digits.
-func fmtVal(v float64) string {
-	if v == math.Trunc(v) && math.Abs(v) < 1e15 {
-		return strconv.FormatInt(int64(v), 10)
-	}
-	if math.Abs(v) >= 1000 {
-		return strconv.FormatFloat(v, 'f', 0, 64)
-	}
-	return strconv.FormatFloat(v, 'g', 4, 64)
-}
 
 func shortCommit(c string) string {
 	if len(c) > 7 {

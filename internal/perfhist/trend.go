@@ -43,7 +43,7 @@ func (s *Series) Last() Point { return s.Points[len(s.Points)-1] }
 
 // Trend computes every (benchmark, metric) time series a ledger holds:
 // ns/op plus each custom metric, ordered by benchmark then metric name.
-// This is the query the render layer (cmd/cctrend) and the EXPERIMENTS
+// This is the query the render layer (cmd/ccreport) and the EXPERIMENTS
 // trajectory tables are built on.
 func Trend(entries []Entry) []Series {
 	type key struct{ bench, metric string }

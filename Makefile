@@ -22,12 +22,15 @@ race:
 smoke:
 	$(GO) run ./cmd/experiments -run fig5 -parallel 4
 
-# Differential gate: the indexed greedy builder must be byte-identical to
-# the reference implementation on all eight synth benchmarks, a capped
-# build must be a prefix of the uncapped selection (against the reference
-# run under the cap), plus the collision/fuzz seed corpus.
+# Differential gate: every selection over the candidate index must be
+# byte-identical to a direct transcription of its policy on all eight
+# synth benchmarks — greedy against the reference builder (also through
+# the whole compression pipeline), static order against its
+# transcription — a capped build must be a prefix of the uncapped
+# selection (against the reference run under the cap), plus the
+# collision/fuzz seed corpus.
 diff:
-	$(GO) test -run 'MatchesReference|StrategyParity|DegradedHash|CappedBuildIsPrefix|FuzzBuildDifferential' ./internal/dictionary
+	$(GO) test -run 'MatchesReference|MatchesTranscription|StrategyParity|DegradedHash|CappedBuildIsPrefix|FuzzBuildDifferential' ./internal/dictionary
 
 # Dispatch gate: codec selection flows through the registry. A switch on a
 # codeword scheme anywhere outside internal/codec and internal/codeword is

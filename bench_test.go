@@ -135,10 +135,10 @@ var dictSizes = []struct{ size, bench string }{
 func BenchmarkDictionaryBuild(b *testing.B) {
 	impls := []struct {
 		name  string
-		strat dictionary.Strategy
+		build func([]uint32, dictionary.Config) (*dictionary.Result, error)
 	}{
-		{"indexed", dictionary.Greedy},
-		{"reference", dictionary.GreedyReference},
+		{"indexed", dictionary.Build},
+		{"reference", dictionary.Reference},
 	}
 	for _, sz := range dictSizes {
 		for _, im := range impls {
@@ -156,14 +156,13 @@ func BenchmarkDictionaryBuild(b *testing.B) {
 					EntryOverheadBits: codeword.EntryOverheadBits,
 					Compressible:      comp,
 					Leader:            lead,
-					Strategy:          im.strat,
 					Stats:             rec,
 				}
 				b.SetBytes(int64(4 * len(p.Text)))
 				b.ReportAllocs()
 				b.ResetTimer()
 				for i := 0; i < b.N; i++ {
-					r, err := dictionary.Build(p.Text, cfg)
+					r, err := im.build(p.Text, cfg)
 					if err != nil {
 						b.Fatal(err)
 					}

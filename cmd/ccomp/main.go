@@ -23,6 +23,7 @@ import (
 	"repro/internal/codec"
 	"repro/internal/core"
 	"repro/internal/objfile"
+	"repro/internal/obs"
 	"repro/internal/sizeaudit"
 )
 
@@ -115,17 +116,20 @@ func main() {
 		if err := a.Check(); err != nil {
 			fatal(err)
 		}
-		fmt.Println()
 		if *audit {
-			if err := a.WriteTable(os.Stdout); err != nil {
-				fatal(err)
-			}
+			report(obs.AuditReport(a))
 		}
 		if *auditDiff {
-			if err := sizeaudit.Diff(sizeaudit.AuditProgram(p), a).WriteTable(os.Stdout); err != nil {
-				fatal(err)
-			}
+			report(obs.AuditDiffReport(sizeaudit.Diff(sizeaudit.AuditProgram(p), a)))
 		}
+	}
+}
+
+// report prints a size report after a blank line.
+func report(r *obs.Report) {
+	fmt.Println()
+	if err := r.WriteText(os.Stdout); err != nil {
+		fatal(err)
 	}
 }
 

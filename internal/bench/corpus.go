@@ -15,7 +15,6 @@ import (
 
 	"repro/internal/codeword"
 	"repro/internal/core"
-	"repro/internal/dictionary"
 	"repro/internal/program"
 	"repro/internal/stats"
 	"repro/internal/synth"
@@ -77,7 +76,6 @@ type imageKey struct {
 	scheme      codeword.Scheme
 	maxEntries  int
 	maxEntryLen int
-	strategy    dictionary.Strategy
 }
 
 func keyFor(name string, opt core.Options) imageKey {
@@ -87,7 +85,6 @@ func keyFor(name string, opt core.Options) imageKey {
 		scheme:      opt.Scheme,
 		maxEntries:  opt.MaxEntries,
 		maxEntryLen: opt.MaxEntryLen,
-		strategy:    opt.Strategy,
 	}
 }
 
@@ -97,11 +94,10 @@ type selectionKey struct {
 	name        string
 	scheme      codeword.Scheme
 	maxEntryLen int
-	strategy    dictionary.Strategy
 }
 
 // indexKey identifies a cached candidate index, which depends on neither
-// the scheme nor the strategy.
+// the scheme nor the selection policy.
 type indexKey struct {
 	name        string
 	maxEntryLen int
@@ -222,7 +218,7 @@ func (c *Corpus) Program(name string) (*program.Program, error) {
 
 // Image compresses the named benchmark under the options, memoized on the
 // normalized parameters. The image is a prefix of the cached selection for
-// its scheme, entry length and strategy, cut to its entry budget. Options
+// its scheme and entry length, cut to its entry budget. Options
 // carrying a DynProfile are rejected — profile-guided images are not
 // cacheable by parameters alone (use Selection and core.CompressWith).
 func (c *Corpus) Image(name string, opt core.Options) (*core.Image, error) {
@@ -259,14 +255,14 @@ func (c *Corpus) compress(name string, opt core.Options) (*core.Image, error) {
 	return img, nil
 }
 
-// Selection returns the named benchmark's dictionary selection for the
-// options' scheme, entry length and strategy, made at the scheme's full
+// Selection returns the named benchmark's greedy dictionary selection for
+// the options' scheme and entry length, made at the scheme's full
 // entry budget so core.CompressWith can serve any budget from it. It is
 // memoized without the budget, and selections under every scheme share
 // the program's candidate index for their entry length.
 func (c *Corpus) Selection(name string, opt core.Options) (*core.Selection, error) {
 	opt = opt.Normalized()
-	key := selectionKey{name: name, scheme: opt.Scheme, maxEntryLen: opt.MaxEntryLen, strategy: opt.Strategy}
+	key := selectionKey{name: name, scheme: opt.Scheme, maxEntryLen: opt.MaxEntryLen}
 	return cached(c, c.state.selections, key, func() (*core.Selection, error) {
 		p, err := c.Program(name)
 		if err != nil {
@@ -276,7 +272,6 @@ func (c *Corpus) Selection(name string, opt core.Options) (*core.Selection, erro
 		sel, err := c.index(name, p, opt.MaxEntryLen).Select(core.Options{
 			Scheme:      opt.Scheme,
 			MaxEntryLen: opt.MaxEntryLen,
-			Strategy:    opt.Strategy,
 			Stats:       c.rec,
 			Trace:       sp,
 		})

@@ -8,7 +8,6 @@ import (
 
 	"repro/internal/codeword"
 	"repro/internal/core"
-	"repro/internal/dictionary"
 	"repro/internal/stats"
 )
 
@@ -257,7 +256,7 @@ func TestConcurrentCapsShareOneSelection(t *testing.T) {
 }
 
 // TestCompressWithRejectsMismatchedSelection: a selection only serves
-// the scheme, entry length, strategy and program it was made for, and
+// the scheme, entry length and program it was made for, and
 // budgets up to its own cap.
 func TestCompressWithRejectsMismatchedSelection(t *testing.T) {
 	c := NewCorpus()
@@ -276,7 +275,6 @@ func TestCompressWithRejectsMismatchedSelection(t *testing.T) {
 	for label, opt := range map[string]core.Options{
 		"scheme":       {Scheme: codeword.Baseline, MaxEntryLen: 4},
 		"entry length": {Scheme: codeword.Nibble, MaxEntryLen: 8},
-		"strategy":     {Scheme: codeword.Nibble, MaxEntryLen: 4, Strategy: dictionary.GreedyReference},
 	} {
 		if _, err := core.CompressWith(p.Clone(), sel, opt); err == nil {
 			t.Errorf("selection with a mismatched %s accepted", label)

@@ -7,7 +7,6 @@ import (
 	"repro/internal/codec"
 	"repro/internal/codeword"
 	"repro/internal/core"
-	"repro/internal/dictionary"
 	"repro/internal/lzw"
 	"repro/internal/machine"
 	"repro/internal/profile"
@@ -599,7 +598,10 @@ func ExtPenalty(c *Corpus) (*Table, error) {
 	return t, nil
 }
 
-// AblationSelection compares the greedy policy against static ordering.
+// AblationSelection compares the greedy policy against static ordering,
+// and the indexed greedy builder against the reference one. The reference
+// and static-order selections come from the program's shared candidate
+// index and are not cached: nothing else uses them.
 func AblationSelection(c *Corpus) (*Table, error) {
 	t := &Table{
 		ID:      "ablation-selection",
@@ -615,15 +617,11 @@ func AblationSelection(c *Corpus) (*Table, error) {
 		if err != nil {
 			return nil, err
 		}
-		ropt := baselineOpts()
-		ropt.Strategy = dictionary.GreedyReference
-		r, err := c.Image(name, ropt)
+		r, err := c.policyImage(name, "reference", (*core.Candidates).SelectReference)
 		if err != nil {
 			return nil, err
 		}
-		sopt := baselineOpts()
-		sopt.Strategy = dictionary.StaticOrder
-		s, err := c.Image(name, sopt)
+		s, err := c.policyImage(name, "static", (*core.Candidates).SelectStatic)
 		if err != nil {
 			return nil, err
 		}
@@ -634,6 +632,29 @@ func AblationSelection(c *Corpus) (*Table, error) {
 		return nil, err
 	}
 	return t, nil
+}
+
+// policyImage compresses the named benchmark under the baseline options
+// with a selection made by policy from the program's shared candidate
+// index, under a corpus.compress span labelled with the policy.
+func (c *Corpus) policyImage(name, label string, policy func(*core.Candidates, core.Options) (*core.Selection, error)) (*core.Image, error) {
+	p, err := c.Program(name)
+	if err != nil {
+		return nil, err
+	}
+	opt := baselineOpts()
+	sp := c.sp.Child("corpus.compress").Set("bench", name).Set("scheme", opt.Scheme.String()).Set("policy", label)
+	defer sp.End()
+	opt.Stats, opt.Trace = c.Recorder(), sp
+	sel, err := policy(c.index(name, p, opt.MaxEntryLen), opt)
+	var img *core.Image
+	if err == nil {
+		img, err = core.CompressWith(p.Clone(), sel, opt)
+	}
+	if err != nil {
+		return nil, fmt.Errorf("bench: compressing %s with the %s selection: %w", name, label, err)
+	}
+	return img, nil
 }
 
 // AblationAlignment estimates the cost of padding branch targets to word

@@ -18,12 +18,10 @@ import (
 	"io"
 
 	"repro/internal/codeword"
-	"repro/internal/dictionary"
 	"repro/internal/machine"
 	"repro/internal/program"
 	"repro/internal/sizeaudit"
 	"repro/internal/stats"
-	"repro/internal/trace"
 )
 
 // Method is the stable one-byte codec id recorded in serialized image
@@ -54,20 +52,9 @@ type Options struct {
 	// paper's baseline of 4.
 	MaxEntryLen int
 
-	// Strategy selects the dictionary-building policy (ablation hook).
-	Strategy dictionary.Strategy
-
-	// DynProfile, when non-nil, supplies per-original-word execution
-	// counts for profile-guided codeword ranking.
-	DynProfile []int64
-
 	// Stats, when non-nil, receives the codec's pipeline counters and
 	// timers. Nil-safe pass-through; never affects the produced image.
 	Stats *stats.Recorder
-
-	// Trace, when non-nil, is the parent span for the codec's pipeline
-	// phases. Nil-safe pass-through; never affects the produced image.
-	Trace *trace.Span
 
 	// Audit, when non-nil, receives one byte-provenance record per emitted
 	// item. Nil-safe pass-through; never affects the produced image.
@@ -148,10 +135,4 @@ type Codec interface {
 	// Audit compresses with a live provenance emitter attached and returns
 	// the finished, conservation-checked audit.
 	Audit(p *program.Program, opt Options) (*sizeaudit.Audit, error)
-
-	// MaxCompressedBytes is a conservative upper bound on the compressed
-	// size of a program of originalBytes — the buffer-sizing hint for
-	// streaming consumers (nothing in this repository needs it to be
-	// tight).
-	MaxCompressedBytes(originalBytes int) int
 }

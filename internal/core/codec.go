@@ -100,6 +100,9 @@ func ReadImagePayload(src io.Reader) (*Image, error) {
 	nent := r.Count(int(r.U32()), "entry")
 	for i := 0; i < nent && r.Err() == nil; i++ {
 		k := int(r.U8())
+		if k == 0 && r.Err() == nil {
+			return nil, fmt.Errorf("core: dictionary entry %d is empty", i)
+		}
 		words := make([]uint32, k)
 		for j := range words {
 			words[j] = r.U32()
@@ -176,10 +179,7 @@ func (c schemeCodec) options(opt codec.Options) Options {
 		Scheme:      c.scheme,
 		MaxEntries:  opt.MaxEntries,
 		MaxEntryLen: opt.MaxEntryLen,
-		Strategy:    opt.Strategy,
-		DynProfile:  opt.DynProfile,
 		Stats:       opt.Stats,
-		Trace:       opt.Trace,
 		Audit:       opt.Audit,
 	}
 }
@@ -231,14 +231,4 @@ func (c schemeCodec) Audit(p *program.Program, opt codec.Options) (*sizeaudit.Au
 		return nil, err
 	}
 	return img.SizeAudit()
-}
-
-// MaxCompressedBytes: in the worst case nothing compresses, every
-// instruction is emitted raw, and every one of them is a conditional far
-// branch expanded to a condStubLen-instruction stub. Loose, but a true
-// bound.
-func (c schemeCodec) MaxCompressedBytes(originalBytes int) int {
-	insns := (originalBytes + 3) / 4
-	units := insns * condStubLen * c.scheme.RawInsnUnits()
-	return (units*c.scheme.UnitBits()+7)/8 + codeword.DictHeaderBytes
 }

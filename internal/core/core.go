@@ -46,12 +46,6 @@ type Options struct {
 	// baseline of 4.
 	MaxEntryLen int
 
-	// Strategy selects the dictionary-building policy (ablation hook);
-	// the zero value is the paper's greedy algorithm in its indexed
-	// implementation. dictionary.GreedyReference selects the
-	// rescan-everything oracle, which must produce an identical image.
-	Strategy dictionary.Strategy
-
 	// DynProfile, when non-nil, holds per-original-word execution counts
 	// (from a profiling run). Codeword ranks are then assigned by dynamic
 	// fetch frequency instead of static use count, so the shortest
@@ -96,14 +90,16 @@ func (o Options) Normalized() Options {
 }
 
 // Fingerprint is a stable hex hash of the normalized image-shaping
-// options (scheme, dictionary bounds, strategy, and any dynamic profile).
-// Two Options that fingerprint equal produce identical images, so run
-// bundles and cache layers can use it as the configuration identity
-// without serializing the options themselves.
+// options (scheme, dictionary bounds, and any dynamic profile). Two
+// Options that fingerprint equal produce identical images, so run bundles
+// and cache layers can use it as the configuration identity without
+// serializing the options themselves.
 func (o Options) Fingerprint() string {
 	n := o.Normalized()
 	h := fnv.New64a()
-	fmt.Fprintf(h, "%d/%d/%d/%d", n.Scheme, n.MaxEntries, n.MaxEntryLen, n.Strategy)
+	// The fourth field once held a selection-policy option and is always
+	// 0 now; keeping it keeps the options hashes in existing bundles valid.
+	fmt.Fprintf(h, "%d/%d/%d/0", n.Scheme, n.MaxEntries, n.MaxEntryLen)
 	for _, v := range n.DynProfile {
 		fmt.Fprintf(h, "/%d", v)
 	}
@@ -292,7 +288,6 @@ func BuildSharedDictionary(programs []*program.Program, opt Options) ([]dictiona
 		EntryOverheadBits: codeword.EntryOverheadBits,
 		Compressible:      compressible,
 		Leader:            leaders,
-		Strategy:          opt.Strategy,
 	})
 	if err != nil {
 		return nil, err
@@ -311,24 +306,24 @@ func Compress(p *program.Program, opt Options) (*Image, error) {
 }
 
 // Selection is a program's dictionary selection under one codeword
-// scheme, entry length and strategy, recorded before the entry budget is
-// applied. A build capped at m entries is exactly the first m selections
-// of any build with a larger cap (dictionary.Selection), so CompressWith
-// serves every budget up to the selection's own cap from one selection.
+// scheme and entry length, recorded before the entry budget is applied.
+// A build capped at m entries is exactly the first m selections of any
+// build with a larger cap (dictionary.Selection), so CompressWith serves
+// every budget up to the selection's own cap from one selection.
 type Selection struct {
 	sel         *dictionary.Selection
 	text        []uint32
 	scheme      codeword.Scheme
 	maxEntryLen int
-	strategy    dictionary.Strategy
 }
 
 // Candidates is a program's candidate index for one entry length. The
 // index depends on neither the codeword scheme nor the entry budget, so
-// the selections under every scheme share it. It is built on first use,
-// by the first Select that needs it and inside that selection's phases,
-// so every selection has the phases of a fresh SelectDictionary: markers
-// under core.analyze, enumeration and selection under core.build.
+// the selections under every scheme and policy share it. It is built on
+// first use, by the first selection that needs it and inside that
+// selection's phases, so every selection has the phases of a fresh
+// SelectDictionary: markers under core.analyze, enumeration and selection
+// under core.build.
 type Candidates struct {
 	p           *program.Program
 	maxEntryLen int
@@ -351,11 +346,11 @@ func NewCandidates(p *program.Program, maxEntryLen int) *Candidates {
 }
 
 // SelectDictionary runs the front half of Compress: the §3.2.1 markers
-// (the core.analyze phase) and the dictionary selection (core.build) for
-// opt's scheme, entry length and strategy, up to opt.MaxEntries entries.
-// Leave MaxEntries 0 for the scheme-maximum selection that serves every
-// budget. The selection references p.Text, which must not change while
-// the selection is in use.
+// (the core.analyze phase) and the greedy dictionary selection
+// (core.build) for opt's scheme and entry length, up to opt.MaxEntries
+// entries. Leave MaxEntries 0 for the scheme-maximum selection that
+// serves every budget. The selection references p.Text, which must not
+// change while the selection is in use.
 func SelectDictionary(p *program.Program, opt Options) (*Selection, error) {
 	opt = opt.Normalized()
 	return NewCandidates(p, opt.MaxEntryLen).Select(opt)
@@ -363,10 +358,35 @@ func SelectDictionary(p *program.Program, opt Options) (*Selection, error) {
 
 // Select is SelectDictionary over the shared index: it computes the
 // markers and enumerates the candidates only if no earlier selection
-// has. opt's entry length must be the index's. The greedy strategy
-// selects from the index; the reference and static-order builders
-// enumerate for themselves.
+// has. opt's entry length must be the index's.
 func (c *Candidates) Select(opt Options) (*Selection, error) {
+	return c.selectWith(opt, (*dictionary.Candidates).Select)
+}
+
+// SelectStatic is Select under the static-order ablation policy
+// (dictionary.Candidates.SelectStatic) instead of the paper's greedy
+// re-evaluation.
+func (c *Candidates) SelectStatic(opt Options) (*Selection, error) {
+	return c.selectWith(opt, (*dictionary.Candidates).SelectStatic)
+}
+
+// SelectReference is Select made by the reference greedy builder
+// (dictionary.Reference), which enumerates for itself: the same
+// selection as Select, none of the indexing.
+func (c *Candidates) SelectReference(opt Options) (*Selection, error) {
+	return c.selectWith(opt, func(_ *dictionary.Candidates, cfg dictionary.Config) (*dictionary.Selection, error) {
+		res, err := dictionary.Reference(c.p.Text, cfg)
+		if err != nil {
+			return nil, err
+		}
+		return dictionary.SelectionOf(c.p.Text, res, cfg.MaxEntries), nil
+	})
+}
+
+// selectWith runs one selection policy over the shared index inside the
+// core.analyze and core.build phases, with the builder's spans nested
+// under core.build.
+func (c *Candidates) selectWith(opt Options, policy func(*dictionary.Candidates, dictionary.Config) (*dictionary.Selection, error)) (*Selection, error) {
 	opt = opt.Normalized()
 	if opt.MaxEntryLen != c.maxEntryLen {
 		return nil, fmt.Errorf("core: selection for entry length %d from an index of length %d", opt.MaxEntryLen, c.maxEntryLen)
@@ -382,20 +402,9 @@ func (c *Candidates) Select(opt Options) (*Selection, error) {
 		return nil, c.markErr
 	}
 	stop := opt.Stats.Time("core.build")
+	defer stop()
 	sp := opt.Trace.Child("core.build")
-	sel, err := c.selectDictionary(opt, sp)
-	sp.End()
-	stop()
-	if err != nil {
-		return nil, err
-	}
-	return &Selection{sel: sel, text: c.p.Text, scheme: opt.Scheme, maxEntryLen: opt.MaxEntryLen, strategy: opt.Strategy}, nil
-}
-
-// selectDictionary is the core.build phase of Select, with the builder's
-// spans nested under sp. The greedy strategy enumerates the shared index
-// if no earlier selection has.
-func (c *Candidates) selectDictionary(opt Options, sp *trace.Span) (*dictionary.Selection, error) {
+	defer sp.End()
 	cfg := dictionary.Config{
 		MaxEntries:        opt.MaxEntries,
 		MaxEntryLen:       opt.MaxEntryLen,
@@ -403,30 +412,29 @@ func (c *Candidates) selectDictionary(opt Options, sp *trace.Span) (*dictionary.
 		EntryOverheadBits: codeword.EntryOverheadBits,
 		Compressible:      c.compressible,
 		Leader:            c.leader,
-		Strategy:          opt.Strategy,
 		Stats:             opt.Stats,
 		Trace:             sp,
-	}
-	if opt.Strategy != dictionary.Greedy {
-		return dictionary.Select(c.p.Text, cfg)
 	}
 	c.enumerated.Do(func() { c.idx, c.idxErr = dictionary.NewCandidates(c.p.Text, cfg) })
 	if c.idxErr != nil {
 		return nil, c.idxErr
 	}
-	return c.idx.Select(cfg)
+	sel, err := policy(c.idx, cfg)
+	if err != nil {
+		return nil, err
+	}
+	return &Selection{sel: sel, text: c.p.Text, scheme: opt.Scheme, maxEntryLen: opt.MaxEntryLen}, nil
 }
 
 // CompressWith runs the back half of Compress over a selection made for
 // p: it takes the selection's first opt.MaxEntries entries, re-ranks them
 // and assembles the image. The selection must have been made for opt's
-// scheme, entry length and strategy, with a cap of at least
-// opt.MaxEntries.
+// scheme and entry length, with a cap of at least opt.MaxEntries.
 func CompressWith(p *program.Program, sel *Selection, opt Options) (*Image, error) {
 	opt = opt.Normalized()
-	if sel.scheme != opt.Scheme || sel.maxEntryLen != opt.MaxEntryLen || sel.strategy != opt.Strategy {
-		return nil, fmt.Errorf("core: selection for %v/len %d/strategy %d used for %v/len %d/strategy %d",
-			sel.scheme, sel.maxEntryLen, sel.strategy, opt.Scheme, opt.MaxEntryLen, opt.Strategy)
+	if sel.scheme != opt.Scheme || sel.maxEntryLen != opt.MaxEntryLen {
+		return nil, fmt.Errorf("core: selection for %v/len %d used for %v/len %d",
+			sel.scheme, sel.maxEntryLen, opt.Scheme, opt.MaxEntryLen)
 	}
 	if sel.sel.Cap() < opt.MaxEntries {
 		return nil, fmt.Errorf("core: selection capped at %d entries cannot serve %d", sel.sel.Cap(), opt.MaxEntries)

@@ -486,3 +486,12 @@ func TestCompressWithPrefixMatchesCompress(t *testing.T) {
 		t.Error("an entry-length-8 index served a length-4 selection")
 	}
 }
+
+// TestFingerprintPinned: run bundles record Options.Fingerprint as their
+// options_hash (baselines/compress.nibble pins this value), so the hash
+// of an unchanged configuration must never move.
+func TestFingerprintPinned(t *testing.T) {
+	if got := (Options{Scheme: codeword.Nibble}).Fingerprint(); got != "4d31d493d75946fd" {
+		t.Errorf("nibble fingerprint %s, want 4d31d493d75946fd", got)
+	}
+}

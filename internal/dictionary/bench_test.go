@@ -40,24 +40,23 @@ func benchConfig(comp, lead []bool) Config {
 	}
 }
 
-func benchBuild(b *testing.B, n int, strat Strategy) {
+func benchBuild(b *testing.B, n int, build func([]uint32, Config) (*Result, error)) {
 	text, comp, lead := synthText(n)
 	cfg := benchConfig(comp, lead)
-	cfg.Strategy = strat
 	b.SetBytes(int64(4 * n))
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := Build(text, cfg); err != nil {
+		if _, err := build(text, cfg); err != nil {
 			b.Fatal(err)
 		}
 	}
 }
 
-func BenchmarkBuildIndexed2k(b *testing.B)    { benchBuild(b, 2_000, Greedy) }
-func BenchmarkBuildIndexed20k(b *testing.B)   { benchBuild(b, 20_000, Greedy) }
-func BenchmarkBuildReference2k(b *testing.B)  { benchBuild(b, 2_000, GreedyReference) }
-func BenchmarkBuildReference20k(b *testing.B) { benchBuild(b, 20_000, GreedyReference) }
+func BenchmarkBuildIndexed2k(b *testing.B)    { benchBuild(b, 2_000, Build) }
+func BenchmarkBuildIndexed20k(b *testing.B)   { benchBuild(b, 20_000, Build) }
+func BenchmarkBuildReference2k(b *testing.B)  { benchBuild(b, 2_000, Reference) }
+func BenchmarkBuildReference20k(b *testing.B) { benchBuild(b, 20_000, Reference) }
 
 func BenchmarkEnumerateIndexed(b *testing.B) {
 	text, comp, lead := synthText(20_000)

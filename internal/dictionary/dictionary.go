@@ -10,16 +10,17 @@
 // re-evaluation max-heap finds the true maximum each round without
 // rescanning every candidate.
 //
-// Two interchangeable implementations of the greedy policy live here. The
-// default (index.go) splits a build into an immutable candidate index
-// (Candidates: sequences interned behind a rolling 64-bit hash, with an
-// occurrence index so selections invalidate only the candidates they
-// actually touch) and a per-build selection whose trace (Selection,
-// selection.go) serves every smaller entry budget as a prefix replay. The
-// reference implementation (below) is the direct transcription of the
-// paper's algorithm, kept as the differential oracle — both must produce
-// byte-identical results on every input (enforced by differential and
-// fuzz tests).
+// One selection engine serves every policy (index.go): an immutable
+// candidate index (Candidates: sequences interned behind a rolling 64-bit
+// hash, with an occurrence index so selections invalidate only the
+// candidates they actually touch) and per-policy selections over it — the
+// paper's greedy loop (Select, which Build runs) and the static-order
+// ablation (SelectStatic). Each records a trace (Selection, selection.go)
+// that serves every smaller entry budget as a prefix replay. Reference
+// (below) is the direct transcription of the paper's algorithm, with its
+// own enumeration and assembly, kept as the differential oracle: it and
+// Build must produce byte-identical results on every input (enforced by
+// differential and fuzz tests).
 package dictionary
 
 import (
@@ -61,10 +62,6 @@ type Config struct {
 	// target codewords but not the middle of an encoded sequence.
 	Leader []bool
 
-	// Strategy selects the entry-selection policy; the default is the
-	// paper's greedy algorithm.
-	Strategy Strategy
-
 	// Stats, when non-nil, receives build observability counters:
 	// dict.candidates (sequences enumerated), dict.heap_pops,
 	// dict.reevaluations (stale candidates re-queued with refreshed
@@ -91,30 +88,6 @@ type Config struct {
 	// constantly. It must never change the produced Result.
 	degradeHash bool
 }
-
-// Strategy is the dictionary-entry selection policy.
-type Strategy uint8
-
-// Selection policies.
-const (
-	// Greedy re-evaluates savings after every selection (the paper's
-	// algorithm, §3.1.1). Implemented by the indexed builder: hash-keyed
-	// enumeration, incremental invalidation through an occurrence index,
-	// and a dirty-bit lazy heap. Byte-identical to GreedyReference.
-	Greedy Strategy = iota
-
-	// StaticOrder ranks candidates once by their initial savings and
-	// selects in that fixed order — the ablation baseline showing what
-	// greedy's re-evaluation buys.
-	StaticOrder
-
-	// GreedyReference is the direct transcription of the paper's greedy
-	// algorithm (string-keyed enumeration, full occurrence rescans). It
-	// is the differential oracle for Greedy: same output, none of the
-	// indexing. Select it to cross-check the indexed builder or to
-	// measure what the index buys.
-	GreedyReference
-)
 
 // Entry is one selected dictionary entry.
 type Entry struct {
@@ -144,43 +117,22 @@ type Result struct {
 	CoveredInsns int
 }
 
-// Build runs the selected algorithm over the program text. For the
-// default Greedy strategy it is Select followed by the full Prefix, the
-// same code path a cached selection is replayed through; the reference
-// and static-order builders assemble their Result directly.
+// Build runs the paper's greedy algorithm over the program text: it
+// enumerates the candidate index, selects from it and assembles the full
+// Result through Prefix, the same code path a cached selection is
+// replayed through.
 func Build(text []uint32, cfg Config) (*Result, error) {
-	if cfg.Strategy != Greedy {
-		maxEntries, err := check(text, cfg)
-		if err != nil {
-			return nil, err
-		}
-		return buildUnindexed(text, cfg, maxEntries), nil
+	cs, err := NewCandidates(text, cfg)
+	if err != nil {
+		return nil, err
 	}
-	s, err := Select(text, cfg)
+	s, err := cs.Select(cfg)
 	if err != nil {
 		return nil, err
 	}
 	sp := cfg.Trace.Child("dict.commit")
 	defer sp.End()
 	return s.Prefix(s.Len())
-}
-
-// Select runs the selected algorithm over the program text and returns
-// its trace, from which Prefix serves the build under any entry budget up
-// to cfg.MaxEntries.
-func Select(text []uint32, cfg Config) (*Selection, error) {
-	maxEntries, err := check(text, cfg)
-	if err != nil {
-		return nil, err
-	}
-	if cfg.Strategy != Greedy {
-		return selectionOf(text, buildUnindexed(text, cfg, maxEntries), maxEntries), nil
-	}
-	cs, err := NewCandidates(text, cfg)
-	if err != nil {
-		return nil, err
-	}
-	return cs.greedy(cfg, maxEntries), nil
 }
 
 // check validates cfg for text and resolves the entry budget.
@@ -209,28 +161,22 @@ func checkSelect(cfg Config) (maxEntries int, err error) {
 	if cfg.CodewordBits == nil {
 		return 0, fmt.Errorf("dictionary: CodewordBits required")
 	}
-	if cfg.Strategy != Greedy && cfg.Strategy != StaticOrder && cfg.Strategy != GreedyReference {
-		return 0, fmt.Errorf("dictionary: unknown strategy %d", cfg.Strategy)
-	}
 	if cfg.MaxEntries <= 0 {
 		return math.MaxInt, nil
 	}
 	return cfg.MaxEntries, nil
 }
 
-// buildUnindexed runs one of the builders that do not use the candidate
-// index: the reference oracle or the static-order ablation.
-func buildUnindexed(text []uint32, cfg Config, maxEntries int) *Result {
-	if cfg.Strategy == StaticOrder {
-		return buildStatic(text, cfg, maxEntries)
+// Reference is the paper's greedy algorithm as originally written, the
+// differential oracle for Build: string-keyed enumeration, and every
+// re-evaluation rescans the candidate's full occurrence list against the
+// covered vector. It shares no code with the candidate index or Prefix,
+// and must return a Result identical to Build's on every input.
+func Reference(text []uint32, cfg Config) (*Result, error) {
+	maxEntries, err := check(text, cfg)
+	if err != nil {
+		return nil, err
 	}
-	return buildReference(text, cfg, maxEntries)
-}
-
-// buildReference is the paper's greedy algorithm as originally written:
-// every re-evaluation rescans the candidate's full occurrence list against
-// the covered vector.
-func buildReference(text []uint32, cfg Config, maxEntries int) *Result {
 	spE := cfg.Trace.Child("dict.enumerate")
 	cands := enumerate(text, cfg)
 	spE.SetInt("candidates", int64(len(cands))).End()
@@ -275,45 +221,7 @@ func buildReference(text []uint32, cfg Config, maxEntries int) *Result {
 	spC := cfg.Trace.Child("dict.commit")
 	assembleItems(text, covered, coverEntry, res)
 	spC.End()
-	return res
-}
-
-// buildStatic ranks candidates once by initial savings and selects in that
-// fixed order (the ablation baseline).
-func buildStatic(text []uint32, cfg Config, maxEntries int) *Result {
-	spE := cfg.Trace.Child("dict.enumerate")
-	cands := enumerate(text, cfg)
-	spE.SetInt("candidates", int64(len(cands))).End()
-	cfg.Stats.Add("dict.candidates", int64(len(cands)))
-	covered := make([]bool, len(text))
-	coverEntry := newCoverEntry(len(text))
-	res := &Result{}
-
-	spS := cfg.Trace.Child("dict.select")
-	for _, c := range cands {
-		c.val = value(c, covered, cfg, 0)
-	}
-	sort.SliceStable(cands, func(i, j int) bool { return cands[i].val > cands[j].val })
-	rank := 0
-	for _, c := range cands {
-		if rank >= maxEntries {
-			break
-		}
-		v := value(c, covered, cfg, rank)
-		if v <= 0 {
-			continue
-		}
-		if selectCand(c, rank, covered, coverEntry, res) {
-			cfg.Stats.ObserveValue("dict.selection_bits", int64(v))
-			rank++
-		}
-	}
-	cfg.Stats.Add("dict.entries", int64(rank))
-	spS.SetInt("entries", int64(rank)).End()
-	spC := cfg.Trace.Child("dict.commit")
-	assembleItems(text, covered, coverEntry, res)
-	spC.End()
-	return res
+	return res, nil
 }
 
 // selectCand replaces all non-overlapping free occurrences of c and
@@ -343,8 +251,8 @@ func newCoverEntry(n int) []int {
 	return ce
 }
 
-// assembleItems builds the rewritten item sequence from the coverage
-// vectors; shared by every builder so they can only differ in selection.
+// assembleItems builds Reference's rewritten item sequence from its
+// coverage vectors.
 func assembleItems(text []uint32, covered []bool, coverEntry []int, res *Result) {
 	for i := range text {
 		if e := coverEntry[i]; e >= 0 {
@@ -358,7 +266,7 @@ func assembleItems(text []uint32, covered []bool, coverEntry []int, res *Result)
 	}
 }
 
-// cand is one candidate sequence of the reference builder.
+// cand is one candidate sequence of Reference.
 type cand struct {
 	words  []uint32
 	k      int    // sequence length in instructions
@@ -423,7 +331,7 @@ func free(covered []bool, p, k int) bool {
 	return true
 }
 
-// occScan is the reference builder's single occurrence walk, shared by
+// occScan is Reference's single occurrence walk, shared by
 // value (count mode, nil commit) and selectCand (commit mode): visit the
 // sorted occurrence list, skip starts overlapping an occurrence already
 // accepted in this scan, skip starts touching covered words, accept the
@@ -465,7 +373,7 @@ func savings(uses, k int, cfg Config, rank int) int {
 	return uses*(32*k-cw) - (32*k + cfg.EntryOverheadBits)
 }
 
-// candHeap is a max-heap over cached savings.
+// candHeap is Reference's max-heap over cached savings.
 type candHeap []*cand
 
 func (h candHeap) Len() int { return len(h) }

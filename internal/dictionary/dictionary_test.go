@@ -264,9 +264,6 @@ func TestConfigValidation(t *testing.T) {
 	if _, err := Build(text, Config{MaxEntryLen: 1, CodewordBits: fixedCost(8), Compressible: comp[:0], Leader: lead}); err == nil {
 		t.Error("mismatched markers accepted")
 	}
-	if _, err := Build(text, Config{MaxEntryLen: 1, CodewordBits: fixedCost(8), Compressible: comp, Leader: lead, Strategy: Strategy(99)}); err == nil {
-		t.Error("unknown strategy accepted")
-	}
 }
 
 func TestApplyFixedDictionary(t *testing.T) {
@@ -338,14 +335,25 @@ func TestApplyErrors(t *testing.T) {
 // TestReconstructionQuick is the property test: for random programs with
 // random compressibility and leader patterns, expansion through the
 // dictionary always reproduces the original text exactly — under every
-// selection strategy.
+// selection policy: greedy, static order and the reference oracle.
 func TestReconstructionQuick(t *testing.T) {
 	words := []uint32{
 		ppc.Addi(3, 3, 1), ppc.Lwz(9, 4, 28), ppc.Stw(18, 0, 28),
 		ppc.Add(3, 3, 4), ppc.Nop(), ppc.Blr(), ppc.Mr(31, 3),
 	}
-	strategies := []Strategy{Greedy, StaticOrder, GreedyReference}
-	f := func(seed int64, nRaw uint8, maxLenRaw uint8, stratRaw uint8) bool {
+	static := func(text []uint32, cfg Config) (*Result, error) {
+		cs, err := NewCandidates(text, cfg)
+		if err != nil {
+			return nil, err
+		}
+		s, err := cs.SelectStatic(cfg)
+		if err != nil {
+			return nil, err
+		}
+		return s.Prefix(s.Len())
+	}
+	policies := []func([]uint32, Config) (*Result, error){Build, static, Reference}
+	f := func(seed int64, nRaw uint8, maxLenRaw uint8, policyRaw uint8) bool {
 		rng := rand.New(rand.NewSource(seed))
 		n := int(nRaw)%200 + 1
 		maxLen := int(maxLenRaw)%8 + 1
@@ -358,11 +366,10 @@ func TestReconstructionQuick(t *testing.T) {
 			lead[i] = rng.Intn(8) == 0
 		}
 		lead[0] = true
-		r, err := Build(text, Config{
+		r, err := policies[int(policyRaw)%len(policies)](text, Config{
 			MaxEntryLen: maxLen, MaxEntries: 64,
 			CodewordBits: fixedCost(8), EntryOverheadBits: 16,
 			Compressible: comp, Leader: lead,
-			Strategy: strategies[int(stratRaw)%len(strategies)],
 		})
 		if err != nil {
 			return false

@@ -1,10 +1,12 @@
 package dictionary_test
 
-// Differential tests: the indexed greedy builder (the default Strategy)
-// must produce byte-identical results to the reference transcription of
-// the paper's algorithm on every synth benchmark and configuration — the
-// paper's figures must not move by a single byte when the implementation
-// changes. `make check` runs these explicitly (the `diff` target).
+// Differential tests: every selection over the candidate index must
+// produce byte-identical results to a direct transcription of its policy
+// on every synth benchmark and configuration — Build against Reference
+// (the paper's greedy algorithm), SelectStatic against the static-order
+// transcription — so the paper's figures cannot move by a single byte
+// when the implementation changes. `make check` runs these explicitly
+// (the `diff` target).
 
 import (
 	"fmt"
@@ -24,15 +26,13 @@ import (
 func assertIdenticalBuilds(t *testing.T, text []uint32, cfg dictionary.Config) stats.Snapshot {
 	t.Helper()
 	rec := stats.New()
-	cfg.Strategy = dictionary.Greedy
 	cfg.Stats = rec
 	got, err := dictionary.Build(text, cfg)
 	if err != nil {
 		t.Fatalf("indexed build: %v", err)
 	}
-	cfg.Strategy = dictionary.GreedyReference
 	cfg.Stats = nil
-	want, err := dictionary.Build(text, cfg)
+	want, err := dictionary.Reference(text, cfg)
 	if err != nil {
 		t.Fatalf("reference build: %v", err)
 	}
@@ -144,7 +144,11 @@ func TestCappedBuildIsPrefix(t *testing.T) {
 					cfg.CodewordBits = scheme.CodewordBits
 					cfg.MaxEntries = scheme.MaxEntries()
 					cfg.MaxEntryLen = maxLen
-					sel, err := dictionary.Select(text, cfg)
+					cs, err := dictionary.NewCandidates(text, cfg)
+					if err != nil {
+						t.Fatal(err)
+					}
+					sel, err := cs.Select(cfg)
 					if err != nil {
 						t.Fatal(err)
 					}
@@ -158,8 +162,53 @@ func TestCappedBuildIsPrefix(t *testing.T) {
 						}
 						ref := cfg
 						ref.MaxEntries = m
-						ref.Strategy = dictionary.GreedyReference
-						want, err := dictionary.Build(text, ref)
+						want, err := dictionary.Reference(text, ref)
+						if err != nil {
+							t.Fatal(err)
+						}
+						assertEqualResults(t, fmt.Sprintf("%v len %d cap %d", scheme, maxLen, m), got, want)
+					}
+				}
+			}
+		})
+	}
+}
+
+// TestStaticOrderMatchesTranscription: the static-order ablation selected
+// from the candidate index must equal its direct transcription over the
+// reference builder's candidates, on all eight benchmarks under three
+// schemes, entry lengths 1, 4 and 8 and entry budgets from 1 to the
+// scheme maximum.
+func TestStaticOrderMatchesTranscription(t *testing.T) {
+	schemes := []codeword.Scheme{codeword.Baseline, codeword.OneByte, codeword.Nibble}
+	for _, name := range synth.BenchmarkNames() {
+		name := name
+		t.Run(name, func(t *testing.T) {
+			t.Parallel()
+			text, base := benchmarkInput(t, name)
+			for _, maxLen := range []int{1, 4, 8} {
+				cfg := base
+				cfg.MaxEntryLen = maxLen
+				cs, err := dictionary.NewCandidates(text, cfg)
+				if err != nil {
+					t.Fatal(err)
+				}
+				for _, scheme := range schemes {
+					cfg.CodewordBits = scheme.CodewordBits
+					for _, m := range []int{1, 16, 100, scheme.MaxEntries()} {
+						if m > scheme.MaxEntries() {
+							continue
+						}
+						cfg.MaxEntries = m
+						sel, err := cs.SelectStatic(cfg)
+						if err != nil {
+							t.Fatal(err)
+						}
+						got, err := sel.Prefix(sel.Len())
+						if err != nil {
+							t.Fatal(err)
+						}
+						want, err := dictionary.StaticTranscription(text, cfg)
 						if err != nil {
 							t.Fatal(err)
 						}
@@ -172,19 +221,25 @@ func TestCappedBuildIsPrefix(t *testing.T) {
 }
 
 // TestCompressStrategyParity lifts the differential to the whole pipeline:
-// a full core.Compress with the indexed builder must produce the same
-// image bytes as with the reference builder.
+// a full core.Compress (the indexed greedy selection) must produce the
+// same image bytes as the reference builder's selection assembled by
+// core.CompressWith.
 func TestCompressStrategyParity(t *testing.T) {
 	p, err := synth.Generate("li")
 	if err != nil {
 		t.Fatal(err)
 	}
 	for _, scheme := range []codeword.Scheme{codeword.Baseline, codeword.Nibble} {
-		indexed, err := core.Compress(p.Clone(), core.Options{Scheme: scheme})
+		opt := core.Options{Scheme: scheme}
+		indexed, err := core.Compress(p.Clone(), opt)
 		if err != nil {
 			t.Fatal(err)
 		}
-		ref, err := core.Compress(p.Clone(), core.Options{Scheme: scheme, Strategy: dictionary.GreedyReference})
+		sel, err := core.NewCandidates(p, 4).SelectReference(opt)
+		if err != nil {
+			t.Fatal(err)
+		}
+		ref, err := core.CompressWith(p.Clone(), sel, opt)
 		if err != nil {
 			t.Fatal(err)
 		}

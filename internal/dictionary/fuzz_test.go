@@ -68,7 +68,16 @@ func mustBuild(t *testing.T, text []uint32, cfg Config) *Result {
 	t.Helper()
 	r, err := Build(text, cfg)
 	if err != nil {
-		t.Fatalf("build strategy %d: %v", cfg.Strategy, err)
+		t.Fatalf("build: %v", err)
+	}
+	return r
+}
+
+func mustReference(t *testing.T, text []uint32, cfg Config) *Result {
+	t.Helper()
+	r, err := Reference(text, cfg)
+	if err != nil {
+		t.Fatalf("reference build: %v", err)
 	}
 	return r
 }
@@ -104,16 +113,18 @@ func FuzzBuildDifferential(f *testing.F) {
 			Compressible:      comp,
 			Leader:            lead,
 		}
-		cfg.Strategy = GreedyReference
-		want := mustBuild(t, text, cfg)
-		cfg.Strategy = Greedy
+		want := mustReference(t, text, cfg)
 		got := mustBuild(t, text, cfg)
 		assertSameResult(t, "indexed vs reference", got, want)
 
 		// Prefix property: the selection under the full budget, cut to a
 		// fuzzed cap of 1..MaxEntries, must equal the reference build run
 		// under that cap.
-		sel, err := Select(text, cfg)
+		cs, err := NewCandidates(text, cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		sel, err := cs.Select(cfg)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -123,8 +134,7 @@ func FuzzBuildDifferential(f *testing.F) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		capped.Strategy = GreedyReference
-		assertSameResult(t, fmt.Sprintf("prefix %d vs capped reference", capped.MaxEntries), prefix, mustBuild(t, text, capped))
+		assertSameResult(t, fmt.Sprintf("prefix %d vs capped reference", capped.MaxEntries), prefix, mustReference(t, text, capped))
 
 		// Degraded hash: every bucket collides, output must not move.
 		cfg.degradeHash = true
@@ -161,10 +171,8 @@ func TestDegradedHashCollisions(t *testing.T) {
 		Compressible:      comp,
 		Leader:            lead,
 	}
-	cfg.Strategy = GreedyReference
-	want := mustBuild(t, text, cfg)
+	want := mustReference(t, text, cfg)
 
-	cfg.Strategy = Greedy
 	cfg.degradeHash = true
 	rec := stats.New()
 	cfg.Stats = rec

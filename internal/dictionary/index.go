@@ -1,9 +1,10 @@
-// The indexed greedy builder: the default implementation of the paper's
-// §3.1 algorithm, split into an immutable candidate index (Candidates)
-// and a cheap per-build selection over it, so one enumeration serves
-// every selection over the same text and entry length.
+// The selection engine: the paper's §3.1 algorithm split into an
+// immutable candidate index (Candidates) and a cheap per-build selection
+// over it, so one enumeration serves every selection — every policy,
+// codeword schedule and entry budget — over the same text and entry
+// length.
 //
-// Three mechanisms replace the reference builder's hot spots:
+// Three mechanisms replace Reference's hot spots:
 //
 //  1. Enumeration interns candidates behind a rolling 64-bit FNV-1a hash
 //     of the big-endian instruction words — no per-(position,length)
@@ -31,18 +32,20 @@
 // index is never written after construction and concurrent selections
 // may share it.
 //
-// The heap discipline is unchanged from the reference: cached savings are
+// The heap discipline is unchanged from Reference: cached savings are
 // upper bounds (uses only shrink, CodewordBits is non-decreasing in rank),
 // so a popped candidate whose exact value matches its cached key is the
 // true maximum of the round, with ties broken by the same deterministic
 // serial order (word-lexicographic, identical to the reference's
-// big-endian byte-key sort). Both builders must produce byte-identical
-// Results on every input; differential and fuzz tests enforce it.
+// big-endian byte-key sort). Build and Reference must produce
+// byte-identical Results on every input; differential and fuzz tests
+// enforce it.
 package dictionary
 
 import (
 	"fmt"
 	"math"
+	"sort"
 )
 
 // FNV-1a 64-bit parameters.
@@ -52,8 +55,8 @@ const (
 )
 
 // rollHash folds one big-endian instruction word into the rolling
-// candidate hash — byte-for-byte the FNV-1a hash of the reference
-// builder's string key, with zero allocation.
+// candidate hash — byte-for-byte the FNV-1a hash of Reference's string
+// key, with zero allocation.
 func rollHash(h uint64, w uint32) uint64 {
 	h = (h ^ uint64(w>>24)) * fnvPrime64
 	h = (h ^ uint64(w>>16&0xff)) * fnvPrime64
@@ -62,7 +65,7 @@ func rollHash(h uint64, w uint32) uint64 {
 	return h
 }
 
-// Candidates is the enumeration half of the indexed greedy builder: every
+// Candidates is the enumeration half of the selection engine: every
 // compressible in-block sequence of length 1..MaxEntryLen of one text,
 // with its occurrence list and the inverted start-position index that
 // selection invalidates through. It depends only on the text, the
@@ -117,20 +120,57 @@ func NewCandidates(text []uint32, cfg Config) (*Candidates, error) {
 // Len is the number of distinct candidate sequences.
 func (cs *Candidates) Len() int { return len(cs.klen) }
 
-// Select runs the Greedy strategy over the index; cfg supplies the entry
-// budget, the codeword schedule and the sinks, and its Compressible,
-// Leader and MaxEntryLen fields are ignored in favour of the index's own.
-// The other strategies do not use the index: call the package-level
-// Select for them.
+// Select runs the paper's greedy algorithm over the index; cfg supplies
+// the entry budget, the codeword schedule and the sinks, and its
+// Compressible, Leader and MaxEntryLen fields are ignored in favour of the
+// index's own.
 func (cs *Candidates) Select(cfg Config) (*Selection, error) {
 	maxEntries, err := checkSelect(cfg)
 	if err != nil {
 		return nil, err
 	}
-	if cfg.Strategy != Greedy {
-		return nil, fmt.Errorf("dictionary: strategy %d does not select from a candidate index", cfg.Strategy)
-	}
 	return cs.greedy(cfg, maxEntries), nil
+}
+
+// SelectStatic runs the static-order ablation over the index, with cfg
+// read as for Select: candidates are ranked once by their savings at rank
+// 0 with nothing covered (ties by serial), then taken in that fixed order
+// at their current savings, skipping those no longer worth an entry. The
+// difference from Select is what greedy's re-evaluation buys.
+func (cs *Candidates) SelectStatic(cfg Config) (*Selection, error) {
+	maxEntries, err := checkSelect(cfg)
+	if err != nil {
+		return nil, err
+	}
+	g := cs.newSelector(maxEntries)
+	sp := cfg.Trace.Child("dict.select")
+	order := make([]int32, cs.Len())
+	for c := range order {
+		order[c] = int32(c)
+		g.uses[c] = g.initialUses(int32(c))
+		g.val[c] = savings(int(g.uses[c]), int(cs.klen[c]), cfg, 0)
+	}
+	sort.SliceStable(order, func(i, j int) bool { return g.val[order[i]] > g.val[order[j]] })
+	rank := 0
+	for _, c := range order {
+		if rank >= maxEntries {
+			break
+		}
+		if g.dirty[c] {
+			g.rescan(c)
+		}
+		v := savings(int(g.uses[c]), int(cs.klen[c]), cfg, rank)
+		if v <= 0 {
+			continue
+		}
+		g.commit(c, rank)
+		cfg.Stats.ObserveValue("dict.selection_bits", int64(v))
+		rank++
+	}
+	cfg.Stats.Add("dict.invalidations", g.invalidations)
+	cfg.Stats.Add("dict.entries", int64(rank))
+	sp.SetInt("entries", int64(rank)).End()
+	return g.sel, nil
 }
 
 // enumerateIndexed builds the index in two passes. The first interns
@@ -236,8 +276,8 @@ func enumerateIndexed(text []uint32, cfg Config) *Candidates {
 	return cs
 }
 
-// selector is the per-build state of one greedy selection over a shared
-// index: occurrence tombstones, per-candidate cached counts and the lazy
+// selector is the per-build state of one selection over a shared index:
+// occurrence tombstones, per-candidate cached counts and the greedy lazy
 // max-heap, plus the Selection being recorded.
 type selector struct {
 	cs *Candidates
@@ -255,9 +295,9 @@ type selector struct {
 	invalidations int64
 }
 
-// greedy runs the indexed greedy algorithm. Its Selection is
-// byte-identical to the reference builder's.
-func (cs *Candidates) greedy(cfg Config, maxEntries int) *Selection {
+// newSelector returns the state of a fresh selection under the given
+// entry budget: nothing covered, every occurrence live.
+func (cs *Candidates) newSelector(maxEntries int) *selector {
 	m, occs := cs.Len(), len(cs.pos)
 	g := &selector{
 		cs:    cs,
@@ -268,15 +308,24 @@ func (cs *Candidates) greedy(cfg Config, maxEntries int) *Selection {
 		val:   make([]int, m),
 		dirty: make([]bool, m),
 		gone:  make([]bool, m),
-		heap:  make([]int32, 0, m),
 		sel:   newSelection(cs.text, maxEntries),
 	}
+	for c := 0; c < m; c++ {
+		g.from[c] = cs.posOff[c]
+		g.live[c] = cs.posOff[c+1] - cs.posOff[c]
+	}
+	return g
+}
+
+// greedy runs the indexed greedy algorithm. Its Selection is
+// byte-identical to Reference's.
+func (cs *Candidates) greedy(cfg Config, maxEntries int) *Selection {
+	g := cs.newSelector(maxEntries)
+	g.heap = make([]int32, 0, cs.Len())
 	spS := cfg.Trace.Child("dict.select")
 	rank := 0
 	var pops, reevals, dirtySkips int64
-	for c := int32(0); int(c) < m; c++ {
-		g.from[c] = cs.posOff[c]
-		g.live[c] = cs.posOff[c+1] - cs.posOff[c]
+	for c := int32(0); int(c) < cs.Len(); c++ {
 		g.uses[c] = g.initialUses(c)
 		g.val[c] = savings(int(g.uses[c]), int(cs.klen[c]), cfg, rank)
 		if g.val[c] > 0 {
@@ -429,7 +478,7 @@ func (g *selector) cover(p, k, rank int32) {
 }
 
 // less orders the heap: larger cached savings first, lower serial on
-// ties — the same discipline as the reference builder's heap.
+// ties — the same discipline as Reference's heap.
 func (g *selector) less(a, b int32) bool {
 	if g.val[a] != g.val[b] {
 		return g.val[a] > g.val[b]

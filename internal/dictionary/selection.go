@@ -93,9 +93,10 @@ func (s *Selection) Prefix(m int) (*Result, error) {
 	return res, nil
 }
 
-// selectionOf records a finished Result as a Selection, for the builders
-// that assemble their Result directly.
-func selectionOf(text []uint32, res *Result, maxEntries int) *Selection {
+// SelectionOf records a finished Result built under an entry budget of
+// maxEntries — Reference's, say — as a Selection, so Prefix can serve it
+// like one made from the index.
+func SelectionOf(text []uint32, res *Result, maxEntries int) *Selection {
 	s := newSelection(text, maxEntries)
 	for _, e := range res.Entries {
 		s.add(-1, int32(len(e.Words)), int32(e.Uses))

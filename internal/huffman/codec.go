@@ -170,11 +170,3 @@ func (ccrpCodec) Audit(p *program.Program, opt codec.Options) (*sizeaudit.Audit,
 	}
 	return a, nil
 }
-
-// MaxCompressedBytes: lines never expand (raw fallback), so the bound is
-// the text plus the LAT and code table.
-func (ccrpCodec) MaxCompressedBytes(originalBytes int) int {
-	cfg := DefaultCCRP()
-	lines := (originalBytes + cfg.LineSize - 1) / cfg.LineSize
-	return originalBytes + int(float64(lines)*cfg.LATBytesPerLine) + 256
-}

@@ -115,9 +115,3 @@ func (lzwCodec) Audit(p *program.Program, opt codec.Options) (*sizeaudit.Audit, 
 	}
 	return a, nil
 }
-
-// MaxCompressedBytes: the worst case emits one code per input byte at the
-// maximum 16-bit width, plus the flush round-up.
-func (lzwCodec) MaxCompressedBytes(originalBytes int) int {
-	return 2*originalBytes + 2
-}

@@ -199,6 +199,34 @@ func TestImageUnitsBombRejected(t *testing.T) {
 	}
 }
 
+// TestImageEmptyEntryRejected: a dictionary image whose entries hold no
+// instructions must fail to open; accepted, its codewords would expand to
+// nothing and the compressed fetch frontend would index past the entry.
+func TestImageEmptyEntryRejected(t *testing.T) {
+	p, err := synth.Generate("compress")
+	if err != nil {
+		t.Fatal(err)
+	}
+	img, err := core.Compress(p.Clone(), core.Options{Scheme: codeword.Nibble})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := range img.Entries {
+		img.Entries[i].Words = nil
+	}
+	var buf bytes.Buffer
+	if err := WriteImage(&buf, img); err != nil {
+		t.Fatal(err)
+	}
+	opened, err := OpenImage(bytes.NewReader(buf.Bytes()))
+	if err == nil {
+		if cpu, err := opened.(codec.Executable).NewMachine(); err == nil {
+			cpu.Run(1_000_000)
+		}
+		t.Fatal("image with empty dictionary entries accepted")
+	}
+}
+
 // TestCCRPShortLineRejected: a CCRP image whose first line is stored raw
 // but truncated to one byte must fail with an error, at open or at run,
 // never panic in the line decoder.

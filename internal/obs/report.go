@@ -238,7 +238,7 @@ func BundleReport(b *Bundle) *Report {
 		r.Tables = append(r.Tables, guestTable(b))
 	}
 	if b.Audit != nil {
-		r.Tables = append(r.Tables, auditClassTable(b), auditFuncTable(b))
+		r.Tables = append(r.Tables, auditClassTable(b.Audit), auditFuncTable(b))
 	}
 	return r
 }
@@ -376,8 +376,7 @@ func guestTable(b *Bundle) ReportTable {
 	return t
 }
 
-func auditClassTable(b *Bundle) ReportTable {
-	a := b.Audit
+func auditClassTable(a *sizeaudit.Audit) ReportTable {
 	title := fmt.Sprintf("Size audit: %d bytes", a.TotalBytes)
 	if a.OriginalBytes > 0 {
 		title += fmt.Sprintf(" of %d original (ratio %.3f)", a.OriginalBytes, a.Ratio())
@@ -423,6 +422,72 @@ func auditFuncTable(b *Bundle) ReportTable {
 		t.Rows = append(t.Rows, []string{fmtBitsAsBytes(f.Bits.Total()), fmtPct(f.Bits.Total(), totalBits), f.Name})
 	}
 	return t
+}
+
+// ---- size audit reports ----
+
+// AuditReport builds the renderable report of one size audit: its class
+// totals and every function's exact bytes per provenance class.
+func AuditReport(a *sizeaudit.Audit) *Report {
+	t := ReportTable{Title: "Size audit: functions", Head: []string{"bytes", "share"}, Num: []bool{true, true}}
+	for _, cl := range sizeaudit.Classes() {
+		t.Head = append(t.Head, cl.String())
+		t.Num = append(t.Num, true)
+	}
+	t.Head = append(t.Head, "function")
+	t.Num = append(t.Num, false)
+	totalBits := int64(a.TotalBytes) * 8
+	add := func(name string, b sizeaudit.ClassBits) {
+		row := []string{fmtBitsAsBytes(b.Total()), fmtPct(b.Total(), totalBits)}
+		for _, cl := range sizeaudit.Classes() {
+			row = append(row, fmtBitsAsBytes(b[cl]))
+		}
+		t.Rows = append(t.Rows, append(row, name))
+	}
+	for _, f := range a.Funcs {
+		add(f.Name, f.Bits)
+	}
+	add("TOTAL", a.ClassTotals())
+	return &Report{
+		Title:  fmt.Sprintf("size audit: %s (%s)", a.Name, a.Encoding),
+		Tables: []ReportTable{auditClassTable(a), t},
+	}
+}
+
+// AuditDiffReport builds the renderable report of a function-by-function
+// size comparison: each side's exact bytes ("-" where a side lacks the
+// function), the signed byte delta B-A and the ratio B/A.
+func AuditDiffReport(d *sizeaudit.AuditDiff) *Report {
+	t := ReportTable{
+		Title: "Size diff: functions",
+		Head:  []string{"A bytes", "B bytes", "delta", "B/A", "function"},
+		Num:   []bool{true, true, true, true, false},
+	}
+	add := func(name string, r sizeaudit.DiffRow) {
+		a, b, ratio := "-", "-", "-"
+		if r.InA {
+			a = fmtBitsAsBytes(r.ABits)
+		}
+		if r.InB {
+			b = fmtBitsAsBytes(r.BBits)
+		}
+		if r.InA && r.InB && r.ABits != 0 {
+			ratio = fmt.Sprintf("%.3f", float64(r.BBits)/float64(r.ABits))
+		}
+		t.Rows = append(t.Rows, []string{a, b, fmtBitsDelta(r.ABits, r.BBits), ratio, name})
+	}
+	for _, r := range d.Rows {
+		add(r.Name, r)
+	}
+	add("TOTAL", sizeaudit.DiffRow{ABits: d.ATotal, BBits: d.BTotal, InA: true, InB: true})
+	return &Report{
+		Title: "size diff",
+		KV: [][2]string{
+			{"A", d.ALabel + ", " + fmtBitsAsBytes(d.ATotal) + " bytes"},
+			{"B", d.BLabel + ", " + fmtBitsAsBytes(d.BTotal) + " bytes"},
+		},
+		Tables: []ReportTable{t},
+	}
 }
 
 // ---- diff report ----

@@ -204,3 +204,50 @@ func TestDiffSemantics(t *testing.T) {
 		t.Errorf("table class delta = %v", got)
 	}
 }
+
+// TestAuditReports renders the two size-audit reports ccomp prints: every
+// function with its exact per-class bytes, and a two-sided comparison
+// where a side lacking a function shows "-".
+func TestAuditReports(t *testing.T) {
+	funcs := []sizeaudit.Func{{Name: "alpha", Start: 0}, {Name: "beta", Start: 16}, {Name: "gamma", Start: 40}}
+	emA := sizeaudit.NewEmitter(funcs, 64)
+	emA.At(sizeaudit.Raw, 0, 320)
+	emA.At(sizeaudit.Raw, 16, 160)
+	a := emA.Finish("bench", "native", 60, 60)
+	emB := sizeaudit.NewEmitter(funcs, 64)
+	emB.At(sizeaudit.Codeword, 0, 13) // deliberately non-byte-aligned
+	emB.At(sizeaudit.Codeword, 40, 80)
+	emB.Global(sizeaudit.Dict, sizeaudit.DictRow, 227)
+	b := emB.Finish("bench", "nibble", 40, 60)
+
+	var text strings.Builder
+	if err := AuditReport(b).WriteText(&text); err != nil {
+		t.Fatal(err)
+	}
+	for _, want := range []string{"size audit: bench (nibble)", "40 bytes of 60 original",
+		"alpha", "gamma", sizeaudit.DictRow, "TOTAL", "1.625"} { // 13 bits = 1.625 bytes, exactly
+		if !strings.Contains(text.String(), want) {
+			t.Fatalf("audit report missing %q:\n%s", want, text.String())
+		}
+	}
+
+	text.Reset()
+	if err := AuditDiffReport(sizeaudit.Diff(a, b)).WriteText(&text); err != nil {
+		t.Fatal(err)
+	}
+	for _, want := range []string{"A: bench (native), 60 bytes", "B: bench (nibble), 40 bytes",
+		"alpha", "beta", "gamma", sizeaudit.DictRow, "TOTAL", "-38.375", "-20"} {
+		if !strings.Contains(text.String(), want) {
+			t.Fatalf("diff report missing %q:\n%s", want, text.String())
+		}
+	}
+}
+
+func TestFmtBitsAsBytesExact(t *testing.T) {
+	cases := map[int64]string{0: "0", 8: "1", 16: "2", 4: "0.5", 13: "1.625", 12345 * 8: "12345"}
+	for bits, want := range cases {
+		if got := fmtBitsAsBytes(bits); got != want {
+			t.Errorf("fmtBitsAsBytes(%d) = %q, want %q", bits, got, want)
+		}
+	}
+}

@@ -1,9 +1,6 @@
 package sizeaudit
 
-import (
-	"fmt"
-	"io"
-)
+import "fmt"
 
 // DiffRow is one function's size on each side of a comparison, in bits.
 // A side that lacks the function contributes zero and clears its presence
@@ -55,34 +52,4 @@ func Diff(a, b *Audit) *AuditDiff {
 		d.Rows = append(d.Rows, DiffRow{Name: fb.Name, BBits: fb.Bits.Total(), InB: true})
 	}
 	return d
-}
-
-// WriteTable renders the comparison as an aligned table: per-function
-// sizes in bytes on both sides, the byte delta, and B/A. Rows a side lacks
-// show "-" for that side.
-func (d *AuditDiff) WriteTable(w io.Writer) error {
-	if _, err := fmt.Fprintf(w, "size diff: A=%s (%s bytes) vs B=%s (%s bytes)\n",
-		d.ALabel, bytesStr(d.ATotal), d.BLabel, bytesStr(d.BTotal)); err != nil {
-		return err
-	}
-	rows := [][]string{{"A-bytes", "B-bytes", "delta", "B/A", "function"}}
-	addRow := func(name string, r DiffRow) {
-		aCell, bCell, ratio := "-", "-", "-"
-		if r.InA {
-			aCell = bytesStr(r.ABits)
-		}
-		if r.InB {
-			bCell = bytesStr(r.BBits)
-		}
-		if r.InA && r.InB && r.ABits != 0 {
-			ratio = fmt.Sprintf("%.3f", float64(r.BBits)/float64(r.ABits))
-		}
-		delta := fmt.Sprintf("%+.1f", float64(r.Delta())/8)
-		rows = append(rows, []string{aCell, bCell, delta, ratio, name})
-	}
-	for _, r := range d.Rows {
-		addRow(r.Name, r)
-	}
-	addRow("TOTAL", DiffRow{ABits: d.ATotal, BBits: d.BTotal, InA: true, InB: true})
-	return writeAligned(w, rows)
 }

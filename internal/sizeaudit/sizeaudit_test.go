@@ -175,15 +175,8 @@ func TestDiff(t *testing.T) {
 	if r := byName[DictRow]; r.InA || !r.InB || r.BBits != 40 {
 		t.Fatalf("dict row %+v", r)
 	}
-	var sb strings.Builder
-	if err := d.WriteTable(&sb); err != nil {
-		t.Fatal(err)
-	}
-	out := sb.String()
-	for _, want := range []string{"alpha", "beta", "gamma", DictRow, "TOTAL", "-15.0"} {
-		if !strings.Contains(out, want) {
-			t.Fatalf("diff table missing %q:\n%s", want, out)
-		}
+	if d.ATotal != 480 || d.BTotal != 320 {
+		t.Fatalf("totals %d -> %d bits", d.ATotal, d.BTotal)
 	}
 }
 
@@ -195,17 +188,6 @@ func TestExporters(t *testing.T) {
 	a := em.Finish("bench", "nibble", 10, 100)
 	if err := a.Check(); err != nil {
 		t.Fatalf("Check: %v", err)
-	}
-
-	var tbl strings.Builder
-	if err := a.WriteTable(&tbl); err != nil {
-		t.Fatal(err)
-	}
-	for _, want := range []string{"bench (nibble)", "10 bytes", "of 100 original",
-		"alpha", "beta", DictRow, "TOTAL", "1.625"} { // 13 bits = 1.625 bytes, exactly
-		if !strings.Contains(tbl.String(), want) {
-			t.Fatalf("table missing %q:\n%s", want, tbl.String())
-		}
 	}
 
 	var csvb strings.Builder
@@ -228,15 +210,6 @@ func TestExporters(t *testing.T) {
 		"bench;" + DictRow + ";dictionary 32"} {
 		if !strings.Contains(fold.String(), want) {
 			t.Fatalf("folded missing %q:\n%s", want, fold.String())
-		}
-	}
-}
-
-func TestBytesStrExact(t *testing.T) {
-	cases := map[int64]string{0: "0", 8: "1", 16: "2", 4: "0.5", 13: "1.625", 12345 * 8: "12345"}
-	for bits, want := range cases {
-		if got := bytesStr(bits); got != want {
-			t.Errorf("bytesStr(%d) = %q, want %q", bits, got, want)
 		}
 	}
 }

@@ -28,9 +28,9 @@ smoke:
 # the whole compression pipeline), static order against its
 # transcription — a capped build must be a prefix of the uncapped
 # selection (against the reference run under the cap), plus the
-# collision/fuzz seed corpus.
+# enumeration edge cases and the fuzz seed corpus.
 diff:
-	$(GO) test -run 'MatchesReference|MatchesTranscription|StrategyParity|DegradedHash|CappedBuildIsPrefix|FuzzBuildDifferential' ./internal/dictionary
+	$(GO) test -run 'MatchesReference|MatchesTranscription|StrategyParity|EnumerationEdgeCases|CappedBuildIsPrefix|FuzzBuildDifferential' ./internal/dictionary
 
 # Dispatch gate: codec selection flows through the registry. A switch on a
 # codeword scheme anywhere outside internal/codec and internal/codeword is

@@ -261,7 +261,7 @@ func CompressFixed(p *program.Program, entries []dictionary.Entry, opt Options) 
 	for i := range rank.of {
 		rank.of[i] = i
 	}
-	return assemble(p, opt, res, rank)
+	return assemble(p, an, opt, res, rank)
 }
 
 // BuildSharedDictionary runs the greedy builder over the concatenation of
@@ -313,6 +313,7 @@ func Compress(p *program.Program, opt Options) (*Image, error) {
 type Selection struct {
 	sel         *dictionary.Selection
 	text        []uint32
+	an          *program.Analysis // of the program the selection was made for
 	scheme      codeword.Scheme
 	maxEntryLen int
 }
@@ -330,7 +331,7 @@ type Candidates struct {
 
 	analyzed     sync.Once
 	compressible []bool
-	leader       []bool
+	an           *program.Analysis
 	markErr      error
 
 	enumerated sync.Once
@@ -394,7 +395,7 @@ func (c *Candidates) selectWith(opt Options, policy func(*dictionary.Candidates,
 	c.analyzed.Do(func() {
 		stop := opt.Stats.Time("core.analyze")
 		sp := opt.Trace.Child("core.analyze")
-		c.compressible, c.leader, c.markErr = Markers(c.p)
+		c.compressible, c.an, c.markErr = markers(c.p)
 		sp.End()
 		stop()
 	})
@@ -411,7 +412,7 @@ func (c *Candidates) selectWith(opt Options, policy func(*dictionary.Candidates,
 		CodewordBits:      opt.Scheme.CodewordBits,
 		EntryOverheadBits: codeword.EntryOverheadBits,
 		Compressible:      c.compressible,
-		Leader:            c.leader,
+		Leader:            c.an.Leader,
 		Stats:             opt.Stats,
 		Trace:             sp,
 	}
@@ -423,7 +424,7 @@ func (c *Candidates) selectWith(opt Options, policy func(*dictionary.Candidates,
 	if err != nil {
 		return nil, err
 	}
-	return &Selection{sel: sel, text: c.p.Text, scheme: opt.Scheme, maxEntryLen: opt.MaxEntryLen}, nil
+	return &Selection{sel: sel, text: c.p.Text, an: c.an, scheme: opt.Scheme, maxEntryLen: opt.MaxEntryLen}, nil
 }
 
 // CompressWith runs the back half of Compress over a selection made for
@@ -453,16 +454,15 @@ func CompressWith(p *program.Program, sel *Selection, opt Options) (*Image, erro
 	// codewords (§3.1.3) — by static use count, or by dynamic fetch count
 	// when a profile is supplied; remap item references.
 	rank := rerank(res, opt.DynProfile)
-	return assemble(p, opt, res, rank)
+	// The selection's analysis serves p: the branch targets assemble reads
+	// depend on the text alone, which the check above found equal.
+	return assemble(p, sel.an, opt, res, rank)
 }
 
 // assemble runs the scheme-dependent back half of the pipeline: layout,
-// emission, branch patching, jump-table repatching and accounting.
-func assemble(p *program.Program, opt Options, res *dictionary.Result, rank reranked) (*Image, error) {
-	an, err := program.Analyze(p)
-	if err != nil {
-		return nil, err
-	}
+// emission, branch patching, jump-table repatching and accounting. an is
+// p's analysis.
+func assemble(p *program.Program, an *program.Analysis, opt Options, res *dictionary.Result, rank reranked) (*Image, error) {
 	img := &Image{
 		Name:           p.Name,
 		Scheme:         opt.Scheme,
@@ -484,7 +484,7 @@ func assemble(p *program.Program, opt Options, res *dictionary.Result, rank rera
 		stopEncode()
 		return nil, err
 	}
-	err = emit(img, p, res.Items, rank.of, lay, opt)
+	err = emit(img, an, res.Items, rank.of, lay, opt)
 	spEncode.End()
 	stopEncode()
 	if err != nil {
@@ -499,7 +499,7 @@ func assemble(p *program.Program, opt Options, res *dictionary.Result, rank rera
 		return nil, err
 	}
 	for i, slot := range img.JumpTableSlots {
-		u, ok := lay.unitOf[jts[i]]
+		u, ok := lay.unit(jts[i])
 		if !ok {
 			return nil, fmt.Errorf("core: jump table target word %d is not an item start", jts[i])
 		}
@@ -508,11 +508,11 @@ func assemble(p *program.Program, opt Options, res *dictionary.Result, rank rera
 
 	// Symbols and entry point.
 	for _, s := range p.Symbols {
-		if u, ok := lay.unitOf[s.Word]; ok {
+		if u, ok := lay.unit(s.Word); ok {
 			img.Symbols = append(img.Symbols, program.Symbol{Name: s.Name, Word: u})
 		}
 	}
-	eu, ok := lay.unitOf[p.Entry]
+	eu, ok := lay.unit(p.Entry)
 	if !ok {
 		return nil, fmt.Errorf("core: entry word %d is not an item start", p.Entry)
 	}

@@ -50,10 +50,19 @@ func canStub(w uint32) bool {
 
 // layoutResult fixes every item's stream position.
 type layoutResult struct {
-	itemUnit []int       // per item: unit offset
-	unitOf   map[int]int // original word index (item start) -> unit offset
-	expanded map[int]bool
+	itemUnit []int  // per item: unit offset
+	unitOf   []int  // per original word: unit offset of the item starting there, -1 if none
+	expanded []bool // per item: a far branch expanded to a stub
 	units    int
+}
+
+// unit returns the unit offset of the item that starts at original word
+// w, and whether one does.
+func (lay *layoutResult) unit(w int) (int, bool) {
+	if w < 0 || w >= len(lay.unitOf) || lay.unitOf[w] < 0 {
+		return 0, false
+	}
+	return lay.unitOf[w], true
 }
 
 // layout assigns unit offsets, iterating until every unexpanded branch
@@ -61,14 +70,19 @@ type layoutResult struct {
 // never revoked, so the iteration terminates.
 func layout(p *program.Program, an *program.Analysis, items []dictionary.Item,
 	rankOf []int, scheme codeword.Scheme) (*layoutResult, error) {
-	lay := &layoutResult{expanded: map[int]bool{}}
+	lay := &layoutResult{
+		itemUnit: make([]int, len(items)),
+		unitOf:   make([]int, len(p.Text)),
+		expanded: make([]bool, len(items)),
+	}
+	for w := range lay.unitOf {
+		lay.unitOf[w] = -1
+	}
 	raw := scheme.RawInsnUnits()
 	for pass := 0; ; pass++ {
 		if pass > len(items)+2 {
 			return nil, fmt.Errorf("core: branch layout did not converge")
 		}
-		lay.itemUnit = make([]int, len(items))
-		lay.unitOf = make(map[int]int, len(items))
 		u := 0
 		for ii, it := range items {
 			lay.itemUnit[ii] = u
@@ -93,7 +107,7 @@ func layout(p *program.Program, an *program.Analysis, items []dictionary.Item,
 			if !ok {
 				return nil, fmt.Errorf("core: branch at word %d has no analyzed target", it.OrigIdx)
 			}
-			tu, ok := lay.unitOf[target]
+			tu, ok := lay.unit(target)
 			if !ok {
 				return nil, fmt.Errorf("core: branch target word %d is not an item start", target)
 			}
@@ -115,15 +129,12 @@ func layout(p *program.Program, an *program.Analysis, items []dictionary.Item,
 
 // emit writes the stream, patching branch fields and expanding stubs, and
 // fills marks, stats and the byte-provenance audit.
-func emit(img *Image, p *program.Program, items []dictionary.Item, rankOf []int, lay *layoutResult, opt Options) error {
-	an, err := program.Analyze(p)
-	if err != nil {
-		return err
-	}
+func emit(img *Image, an *program.Analysis, items []dictionary.Item, rankOf []int, lay *layoutResult, opt Options) error {
 	scheme := img.Scheme
 	w := codeword.NewWriter(scheme)
 	rawBitsPer := scheme.RawInsnUnits() * scheme.UnitBits()
 	var stubBits int64
+	img.Marks = make([]Mark, 0, len(items)) // one per item
 	for ii, it := range items {
 		if w.Units() != lay.itemUnit[ii] {
 			return fmt.Errorf("core: layout drift at item %d: %d != %d", ii, w.Units(), lay.itemUnit[ii])
@@ -143,7 +154,7 @@ func emit(img *Image, p *program.Program, items []dictionary.Item, rankOf []int,
 
 		case ppc.IsRelativeBranch(it.Word):
 			target := an.Target[it.OrigIdx]
-			tu := lay.unitOf[target]
+			tu, _ := lay.unit(target)
 			if lay.expanded[ii] {
 				if err := emitStub(w, it.Word, img.Base+uint32(tu), scheme); err != nil {
 					return err

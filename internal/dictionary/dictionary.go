@@ -11,16 +11,16 @@
 // rescanning every candidate.
 //
 // One selection engine serves every policy (index.go): an immutable
-// candidate index (Candidates: sequences interned behind a rolling 64-bit
-// hash, with an occurrence index so selections invalidate only the
-// candidates they actually touch) and per-policy selections over it — the
-// paper's greedy loop (Select, which Build runs) and the static-order
-// ablation (SelectStatic). Each records a trace (Selection, selection.go)
-// that serves every smaller entry budget as a prefix replay. Reference
-// (below) is the direct transcription of the paper's algorithm, with its
-// own enumeration and assembly, kept as the differential oracle: it and
-// Build must produce byte-identical results on every input (enforced by
-// differential and fuzz tests).
+// candidate index (Candidates: sequences enumerated from the text's
+// starts in sorted order, with an occurrence index so selections
+// invalidate only the candidates they actually touch) and per-policy
+// selections over it — the paper's greedy loop (Select, which Build
+// runs) and the static-order ablation (SelectStatic). Each records a
+// trace (Selection, selection.go) that serves every smaller entry budget
+// as a prefix replay. Reference (below) is the direct transcription of
+// the paper's algorithm, with its own enumeration and assembly, kept as
+// the differential oracle: it and Build must produce byte-identical
+// results on every input (enforced by differential and fuzz tests).
 package dictionary
 
 import (
@@ -66,10 +66,9 @@ type Config struct {
 	// dict.candidates (sequences enumerated), dict.heap_pops,
 	// dict.reevaluations (stale candidates re-queued with refreshed
 	// savings), dict.entries (entries selected), and — from the indexed
-	// builder — dict.invalidations (occurrences killed by coverage),
+	// builder — dict.invalidations (occurrences killed by coverage) and
 	// dict.dirty_skips (heap pops served from an exact cached use count,
-	// no occurrence rescan) and dict.hash_collisions (distinct sequences
-	// sharing a 64-bit enumeration hash). It also receives the
+	// no occurrence rescan). It also receives the
 	// dict.selection_bits histogram: the savings (in bits) of each
 	// selected entry at the moment of its selection — the paper's
 	// usage-vs-size distribution. Counter values are implementation
@@ -82,11 +81,6 @@ type Config struct {
 	// the rewritten item sequence). Like Stats, it never affects the
 	// Result.
 	Trace *trace.Span
-
-	// degradeHash, set only by tests, collapses the indexed builder's
-	// candidate hash to its low byte so the collision chain is exercised
-	// constantly. It must never change the produced Result.
-	degradeHash bool
 }
 
 // Entry is one selected dictionary entry.

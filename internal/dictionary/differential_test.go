@@ -55,6 +55,31 @@ func assertEqualResults(t *testing.T, label string, got, want *dictionary.Result
 	}
 }
 
+// matrixBenchmarks and matrixCaps span the prefix and static-order
+// matrices: every benchmark at four entry budgets. The race detector
+// slows that matrix to minutes, so under it they run the two smallest
+// benchmarks at the smallest and largest budgets; `make diff` runs the
+// full matrix without it.
+func matrixBenchmarks() []string {
+	if raceEnabled {
+		return []string{"compress", "li"}
+	}
+	return synth.BenchmarkNames()
+}
+
+func matrixCaps(scheme codeword.Scheme) []int {
+	if raceEnabled {
+		return []int{1, scheme.MaxEntries()}
+	}
+	var caps []int
+	for _, m := range []int{1, 16, 100, scheme.MaxEntries()} {
+		if m <= scheme.MaxEntries() {
+			caps = append(caps, m)
+		}
+	}
+	return caps
+}
+
 func benchmarkInput(t *testing.T, name string) ([]uint32, dictionary.Config) {
 	t.Helper()
 	p, err := synth.Generate(name)
@@ -90,7 +115,7 @@ func TestIndexedMatchesReferenceSynth(t *testing.T) {
 			if s.Counter("dict.invalidations") == 0 {
 				t.Error("no invalidations recorded — the inverted index did no work")
 			}
-			for _, c := range []string{"dict.dirty_skips", "dict.hash_collisions", "dict.heap_pops"} {
+			for _, c := range []string{"dict.dirty_skips", "dict.heap_pops"} {
 				if _, ok := s.Counters[c]; !ok {
 					t.Errorf("counter %s not recorded", c)
 				}
@@ -133,7 +158,7 @@ func TestIndexedMatchesReferenceSweep(t *testing.T) {
 // benchmarks, the three headline schemes, entry lengths 4 and 8.
 func TestCappedBuildIsPrefix(t *testing.T) {
 	schemes := []codeword.Scheme{codeword.Baseline, codeword.Nibble, codeword.OneByte}
-	for _, name := range synth.BenchmarkNames() {
+	for _, name := range matrixBenchmarks() {
 		name := name
 		t.Run(name, func(t *testing.T) {
 			t.Parallel()
@@ -152,10 +177,7 @@ func TestCappedBuildIsPrefix(t *testing.T) {
 					if err != nil {
 						t.Fatal(err)
 					}
-					for _, m := range []int{1, 16, 100, scheme.MaxEntries()} {
-						if m > scheme.MaxEntries() {
-							continue
-						}
+					for _, m := range matrixCaps(scheme) {
 						got, err := sel.Prefix(m)
 						if err != nil {
 							t.Fatal(err)
@@ -181,7 +203,7 @@ func TestCappedBuildIsPrefix(t *testing.T) {
 // scheme maximum.
 func TestStaticOrderMatchesTranscription(t *testing.T) {
 	schemes := []codeword.Scheme{codeword.Baseline, codeword.OneByte, codeword.Nibble}
-	for _, name := range synth.BenchmarkNames() {
+	for _, name := range matrixBenchmarks() {
 		name := name
 		t.Run(name, func(t *testing.T) {
 			t.Parallel()
@@ -195,10 +217,7 @@ func TestStaticOrderMatchesTranscription(t *testing.T) {
 				}
 				for _, scheme := range schemes {
 					cfg.CodewordBits = scheme.CodewordBits
-					for _, m := range []int{1, 16, 100, scheme.MaxEntries()} {
-						if m > scheme.MaxEntries() {
-							continue
-						}
+					for _, m := range matrixCaps(scheme) {
 						cfg.MaxEntries = m
 						sel, err := cs.SelectStatic(cfg)
 						if err != nil {

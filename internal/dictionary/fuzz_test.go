@@ -2,14 +2,14 @@ package dictionary
 
 // Fuzz differential: random texts, compressibility masks and leader masks
 // are fed to the indexed and reference greedy builders, which must agree
-// exactly — including when the candidate hash is deliberately degraded to
-// a single byte so the collision chain carries essentially all lookups,
-// and when the indexed selection is cut to a fuzzed entry budget instead
-// of being built under it. The seed corpus runs on every plain `go test`.
+// exactly, including when the indexed selection is cut to a fuzzed entry
+// budget instead of being built under it. The seed corpus runs on every
+// plain `go test`.
 
 import (
 	"fmt"
 	"reflect"
+	"slices"
 	"testing"
 
 	"repro/internal/stats"
@@ -135,60 +135,142 @@ func FuzzBuildDifferential(f *testing.F) {
 			t.Fatal(err)
 		}
 		assertSameResult(t, fmt.Sprintf("prefix %d vs capped reference", capped.MaxEntries), prefix, mustReference(t, text, capped))
-
-		// Degraded hash: every bucket collides, output must not move.
-		cfg.degradeHash = true
-		rec := stats.New()
-		cfg.Stats = rec
-		degraded := mustBuild(t, text, cfg)
-		assertSameResult(t, "degraded hash", degraded, want)
-		if _, ok := rec.Snapshot().Counters["dict.hash_collisions"]; !ok {
-			t.Error("dict.hash_collisions not recorded")
-		}
 	})
 }
 
-// TestDegradedHashCollisions pins the collision path deterministically:
-// with the hash collapsed to one byte and far more than 256 distinct
-// sequences, chains must both collide heavily and resolve correctly.
-func TestDegradedHashCollisions(t *testing.T) {
-	var text []uint32
-	for i := 0; i < 600; i++ {
-		text = append(text, 0x38600000|uint32(i), 0x38600000|uint32(i)) // each word appears twice in a row
+// TestEnumerationEdgeCases drives the sorted-start enumeration through the
+// texts that stress its radix passes and longest-common-prefix runs: one
+// repeated word, a two-word alphabet, the extreme word values of both
+// 16-bit halves, dense leaders, runs of incompressible words, and a
+// sequence cut short by a leader right after an uncut occurrence of it.
+// At every entry length the index must be well formed, hold as many
+// candidates as the reference enumerates, and select what the reference
+// selects.
+func TestEnumerationEdgeCases(t *testing.T) {
+	type input struct {
+		name       string
+		text       []uint32
+		comp, lead []bool
 	}
-	n := len(text)
-	comp := make([]bool, n)
-	lead := make([]bool, n)
-	for i := range comp {
-		comp[i] = true
+	mk := func(name string, text []uint32, lead func(i int) bool, comp func(i int) bool) input {
+		in := input{name: name, text: text, comp: make([]bool, len(text)), lead: make([]bool, len(text))}
+		for i := range text {
+			in.comp[i] = comp == nil || comp(i)
+			in.lead[i] = i == 0 || lead != nil && lead(i)
+		}
+		return in
 	}
-	lead[0] = true
-	cfg := Config{
-		MaxEntries:        0,
-		MaxEntryLen:       3,
-		CodewordBits:      func(int) int { return 8 },
-		EntryOverheadBits: 16,
-		Compressible:      comp,
-		Leader:            lead,
+	repeat := func(n int, f func(i int) uint32) []uint32 {
+		out := make([]uint32, n)
+		for i := range out {
+			out[i] = f(i)
+		}
+		return out
 	}
-	want := mustReference(t, text, cfg)
+	const a, b = 0x38630001, 0x7c632214
+	lcg := uint32(1)
+	twoSym := repeat(300, func(int) uint32 {
+		lcg = lcg*1103515245 + 12345
+		if lcg>>16&1 == 0 {
+			return a
+		}
+		return b
+	})
+	extremes := []uint32{0, 0xffffffff, 0x0000ffff, 0xffff0000, 0x00010000, 0x0000fffe}
+	inputs := []input{
+		mk("identical", repeat(64, func(int) uint32 { return a }), nil, nil),
+		mk("two-symbol", twoSym, nil, nil),
+		mk("radix-extremes", repeat(240, func(i int) uint32 { return extremes[(i*i+i/7)%len(extremes)] }), nil, nil),
+		mk("identical-extremes", repeat(40, func(i int) uint32 { return 0xffffffff * uint32(i/20) }), nil, nil),
+		mk("incompressible-runs", twoSym, nil, func(i int) bool { return i%11 > 2 }),
+		mk("all-incompressible", twoSym[:20], nil, func(int) bool { return false }),
+		// ABCD at 0 and 8; at 4 the leader at 6 cuts it to AB; the
+		// text's end cuts the last occurrence to ABC.
+		mk("leader-cut", []uint32{a, b, 0, 0xffffffff, a, b, 0, 0xffffffff, a, b, 0, 0xffffffff, 7, a, b, 0},
+			func(i int) bool { return i == 6 }, nil),
+	}
+	for _, k := range []int{1, 2, 3, 5} {
+		k := k
+		inputs = append(inputs, mk(fmt.Sprintf("leaders-every-%d", k), twoSym, func(i int) bool { return i%k == 0 }, nil))
+	}
+	var selected int
+	for _, in := range inputs {
+		for maxLen := 1; maxLen <= 8; maxLen++ {
+			label := fmt.Sprintf("%s/L=%d", in.name, maxLen)
+			cfg := Config{
+				MaxEntryLen:       maxLen,
+				CodewordBits:      steppedCost,
+				EntryOverheadBits: 16,
+				Compressible:      in.comp,
+				Leader:            in.lead,
+				Stats:             stats.New(),
+			}
+			want := mustReference(t, in.text, cfg)
+			refCands := cfg.Stats.Snapshot().Counter("dict.candidates")
+			cs, err := NewCandidates(in.text, cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if int64(cs.Len()) != refCands {
+				t.Fatalf("%s: %d candidates, reference enumerates %d", label, cs.Len(), refCands)
+			}
+			checkIndex(t, label, cs, cfg)
+			sel, err := cs.Select(cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			got, err := sel.Prefix(sel.Cap())
+			if err != nil {
+				t.Fatal(err)
+			}
+			assertSameResult(t, label, got, want)
+			selected += len(got.Entries)
+		}
+	}
+	if selected == 0 {
+		t.Error("no entries selected on any input — the differential is vacuous")
+	}
+}
 
-	cfg.degradeHash = true
-	rec := stats.New()
-	cfg.Stats = rec
-	got := mustBuild(t, text, cfg)
-	assertSameResult(t, "degraded hash", got, want)
-	if c := rec.Snapshot().Counter("dict.hash_collisions"); c == 0 {
-		t.Error("degraded hash produced no collisions — the chain path was not exercised")
+// checkIndex verifies the index against its definition: candidates in
+// strictly increasing word order (shorter prefix first), each occurrence
+// list sorted and holding the candidate's words at every start, and the
+// slots at each start naming its occurrences of lengths 1..extent, each
+// extent as long as the markers allow.
+func checkIndex(t *testing.T, label string, cs *Candidates, cfg Config) {
+	t.Helper()
+	text := cs.text
+	words := func(c int32) []uint32 {
+		p := cs.pos[cs.posOff[c]]
+		return text[p : p+cs.klen[c]]
 	}
-
-	// And the real hash on the same input should collide rarely or never.
-	cfg.degradeHash = false
-	rec2 := stats.New()
-	cfg.Stats = rec2
-	got2 := mustBuild(t, text, cfg)
-	assertSameResult(t, "real hash", got2, want)
-	if c := rec2.Snapshot().Counter("dict.hash_collisions"); c > 4 {
-		t.Errorf("real 64-bit hash collided %d times on a toy input", c)
+	for c := int32(0); int(c) < cs.Len(); c++ {
+		if c > 0 && slices.Compare(words(c-1), words(c)) >= 0 {
+			t.Fatalf("%s: candidates %d and %d out of serial order", label, c-1, c)
+		}
+		occ := cs.pos[cs.posOff[c]:cs.posOff[c+1]]
+		if len(occ) == 0 || !slices.IsSorted(occ) {
+			t.Fatalf("%s: candidate %d occurrence list %v", label, c, occ)
+		}
+		for _, p := range occ {
+			if !slices.Equal(text[p:p+cs.klen[c]], words(c)) {
+				t.Fatalf("%s: candidate %d occurrence at %d holds other words", label, c, p)
+			}
+		}
+	}
+	for j := range text {
+		ext := 0
+		for ext < cs.maxLen && j+ext < len(text) && cfg.Compressible[j+ext] && (ext == 0 || !cfg.Leader[j+ext]) {
+			ext++
+		}
+		if got := int(cs.startOff[j+1] - cs.startOff[j]); got != ext {
+			t.Fatalf("%s: start %d has %d slots, want %d", label, j, got, ext)
+		}
+		for s := cs.startOff[j]; s < cs.startOff[j+1]; s++ {
+			c, o := cs.slotCand[s], cs.slotOcc[s]
+			if cs.klen[c] != s-cs.startOff[j]+1 || cs.pos[o] != int32(j) || o < cs.posOff[c] || o >= cs.posOff[c+1] {
+				t.Fatalf("%s: slot %d at start %d names candidate %d occurrence %d", label, s, j, c, o)
+			}
+		}
 	}
 }

@@ -6,11 +6,17 @@
 //
 // Three mechanisms replace Reference's hot spots:
 //
-//  1. Enumeration interns candidates behind a rolling 64-bit FNV-1a hash
-//     of the big-endian instruction words — no per-(position,length)
-//     string key is ever allocated. Hash buckets chain and compare the
-//     actual words, so a 64-bit collision can never merge two distinct
-//     sequences (dict.hash_collisions counts them).
+//  1. Enumeration sorts instead of hashing. A candidate occurrence is a
+//     prefix of the longest in-block sequence at its start, so ordering
+//     the compressible starts by those sequences (word-lexicographic, cut
+//     at MaxEntryLen, a leader or an incompressible word) — radix passes
+//     over dense word ids, a suffix array truncated to MaxEntryLen words
+//     — puts each candidate's occurrences in one run of starts, and the
+//     runs, read off the longest common prefixes of neighbours, open in
+//     serial order. No key is allocated, hashed or compared by sort:
+//     for n words, entry length L and V distinct words (V ≤ n) the cost
+//     is L counting passes of O(n + V) each, plus the two 2^16-bucket
+//     passes that rank the words.
 //
 //  2. A start-position → occurrences inverted index makes invalidation
 //     exact: the moment a selection covers a word range, every candidate
@@ -48,23 +54,6 @@ import (
 	"sort"
 )
 
-// FNV-1a 64-bit parameters.
-const (
-	fnvOffset64 uint64 = 14695981039346656037
-	fnvPrime64  uint64 = 1099511628211
-)
-
-// rollHash folds one big-endian instruction word into the rolling
-// candidate hash — byte-for-byte the FNV-1a hash of Reference's string
-// key, with zero allocation.
-func rollHash(h uint64, w uint32) uint64 {
-	h = (h ^ uint64(w>>24)) * fnvPrime64
-	h = (h ^ uint64(w>>16&0xff)) * fnvPrime64
-	h = (h ^ uint64(w>>8&0xff)) * fnvPrime64
-	h = (h ^ uint64(w&0xff)) * fnvPrime64
-	return h
-}
-
 // Candidates is the enumeration half of the selection engine: every
 // compressible in-block sequence of length 1..MaxEntryLen of one text,
 // with its occurrence list and the inverted start-position index that
@@ -94,14 +83,12 @@ type Candidates struct {
 	startOff []int32
 	slotOcc  []int32
 	slotCand []int32
-
-	collisions int64
 }
 
 // NewCandidates enumerates the candidate index of text under cfg's
 // Compressible, Leader and MaxEntryLen; the other Config fields are not
-// consulted except Stats and Trace, which receive dict.candidates,
-// dict.hash_collisions and the dict.enumerate span.
+// consulted except Stats and Trace, which receive dict.candidates and
+// the dict.enumerate span.
 func NewCandidates(text []uint32, cfg Config) (*Candidates, error) {
 	if err := checkInput(text, cfg); err != nil {
 		return nil, err
@@ -113,7 +100,6 @@ func NewCandidates(text []uint32, cfg Config) (*Candidates, error) {
 	cs := enumerateIndexed(text, cfg)
 	sp.SetInt("candidates", int64(cs.Len())).End()
 	cfg.Stats.Add("dict.candidates", int64(cs.Len()))
-	cfg.Stats.Add("dict.hash_collisions", cs.collisions)
 	return cs, nil
 }
 
@@ -173,11 +159,15 @@ func (cs *Candidates) SelectStatic(cfg Config) (*Selection, error) {
 	return g.sel, nil
 }
 
-// enumerateIndexed builds the index in two passes. The first interns
-// every sequence by rolling hash and records, per occurrence slot, the
-// candidate in creation order. The second renumbers candidates into
-// serial order and lays the occurrence lists out contiguously; walking
-// slots in start order keeps every list sorted.
+// enumerateIndexed builds the index from the compressible starts sorted
+// by their words. Every candidate occurrence is a prefix of its start's
+// maximal sequence, so once the starts are ordered by those sequences
+// (each cut to its extent, shorter first) the occurrences of every
+// candidate are one contiguous run of starts, and candidates first appear
+// in serial order: a start opens a new candidate for each length beyond
+// its longest common prefix with the start before it, and reuses the
+// predecessor's candidates up to that prefix. The occurrence lists are
+// then laid out by a pass in text order, which keeps every list sorted.
 func enumerateIndexed(text []uint32, cfg Config) *Candidates {
 	n := len(text)
 	cs := &Candidates{
@@ -185,95 +175,140 @@ func enumerateIndexed(text []uint32, cfg Config) *Candidates {
 		maxLen:   cfg.MaxEntryLen,
 		startOff: make([]int32, n+1),
 	}
-	hashMask := ^uint64(0)
-	if cfg.degradeHash {
-		hashMask = 0xff
+	// ext[i] is the length of the longest sequence starting at i: it runs
+	// until an incompressible word, a leader (i's own aside, since a
+	// sequence may begin a block) or MaxEntryLen stops it.
+	ext := make([]int32, n)
+	run, maxExt := int32(0), int32(0)
+	for i := n - 1; i >= 0; i-- {
+		switch {
+		case !cfg.Compressible[i]:
+			run = 0
+		case i+1 < n && !cfg.Leader[i+1]:
+			run++
+		default:
+			run = 1
+		}
+		ext[i] = min(run, int32(cs.maxLen))
+		maxExt = max(maxExt, ext[i])
 	}
-	// Per candidate in creation order: first start, length, occurrence
-	// count and the next candidate in its hash bucket (-1 ends a chain).
-	var first, klen, count, next []int32
-	byHash := make(map[uint64]int32, n)
-	slots := make([]int32, 0, 2*n)
+	starts := make([]int32, 0, n)
 	for i := 0; i < n; i++ {
-		cs.startOff[i] = int32(len(slots))
-		if !cfg.Compressible[i] {
-			continue
-		}
-		h := fnvOffset64
-		for k := 1; k <= cs.maxLen && i+k <= n; k++ {
-			j := i + k - 1
-			if !cfg.Compressible[j] {
-				break
-			}
-			if k > 1 && cfg.Leader[j] {
-				break // would span into the next basic block
-			}
-			h = rollHash(h, text[j])
-			head, ok := byHash[h&hashMask]
-			id := int32(-1)
-			if ok {
-				for t := head; t >= 0; t = next[t] {
-					if int(klen[t]) == k && equalWords(text[first[t]:int(first[t])+k], text[i:i+k]) {
-						id = t
-						break
-					}
-				}
-			}
-			if id < 0 {
-				id = int32(len(first))
-				if ok {
-					cs.collisions++
-				} else {
-					head = -1
-				}
-				first = append(first, int32(i))
-				klen = append(klen, int32(k))
-				count = append(count, 0)
-				next = append(next, head)
-				byHash[h&hashMask] = id
-			}
-			count[id]++
-			slots = append(slots, id)
+		cs.startOff[i+1] = cs.startOff[i] + ext[i]
+		if ext[i] > 0 {
+			starts = append(starts, int32(i))
 		}
 	}
-	cs.startOff[n] = int32(len(slots))
-	byHash = nil // collectable before the index arrays below are allocated
 
-	// Deterministic serials matching the reference builder exactly: a
-	// word-lexicographic compare (shorter prefix first) orders candidates
-	// identically to sorting their big-endian byte keys.
-	m := len(first)
-	order := make([]int32, m)
-	for i := range order {
-		order[i] = int32(i)
+	// Rank the distinct words to dense ids 1..V in word order (two 16-bit
+	// radix passes over the starts); id 0 pads a sequence past its extent,
+	// so a sequence sorts before its extensions.
+	buf := make([]int32, len(starts))
+	key := make([]int32, n) // per word position: its start's key in the current pass
+	count := make([]int32, 1<<16)
+	for i, w := range text {
+		key[i] = int32(w & 0xffff)
 	}
-	words := func(t int32) []uint32 { return text[first[t] : first[t]+klen[t]] }
-	mergeSort(order, make([]int32, m), func(a, b int32) bool { return lessWords(words(a), words(b)) })
+	countSort(buf, starts, key, count)
+	for i, w := range text {
+		key[i] = int32(w >> 16)
+	}
+	countSort(starts, buf, key, count)
+	id := make([]int32, n)
+	var v int32
+	for k, i := range starts {
+		if k == 0 || text[i] != text[starts[k-1]] {
+			v++
+		}
+		id[i] = v
+	}
 
-	serialOf := next // the bucket chains are done with; reuse their storage
+	// Sort the starts by their extent-cut id sequences: one stable pass
+	// per word position, least significant first.
+	if int(v)+1 > len(count) {
+		count = make([]int32, v+1)
+	}
+	count = count[:v+1]
+	for d := maxExt - 1; d >= 0; d-- {
+		for i, e := range ext {
+			key[i] = 0
+			if d < e {
+				key[i] = id[i+int(d)]
+			}
+		}
+		countSort(buf, starts, key, count)
+		starts, buf = buf, starts
+	}
+
+	// lcp[k] is the common prefix of the k-th sorted start's sequence and
+	// its predecessor's; each start opens ext-lcp candidates.
+	lcp := buf
+	m := 0
+	for k, i := range starts {
+		l := int32(0)
+		if k > 0 {
+			p := starts[k-1]
+			for lim := min(ext[i], ext[p]); l < lim && id[i+l] == id[p+l]; l++ {
+			}
+		}
+		lcp[k] = l
+		m += int(ext[i] - l)
+	}
 	cs.klen = make([]int32, m)
-	cs.posOff = make([]int32, m+1)
-	for s, t := range order {
-		serialOf[t] = int32(s)
-		cs.klen[s] = klen[t]
-		cs.posOff[s+1] = cs.posOff[s] + count[t]
+	occs := make([]int32, m) // occurrences per candidate
+	slotCand := make([]int32, cs.startOff[n])
+	cur := make([]int32, maxExt+1) // cur[k]: the candidate of length k at the current start
+	c := int32(0)
+	for k, i := range starts {
+		for l := lcp[k] + 1; l <= ext[i]; l++ {
+			cs.klen[c] = l
+			cur[l] = c
+			c++
+		}
+		for l := int32(1); l <= ext[i]; l++ {
+			slotCand[cs.startOff[i]+l-1] = cur[l]
+			occs[cur[l]]++
+		}
 	}
-	fill := count // next free slot of each candidate's list, by serial
+	ext, key, id, starts, buf, lcp, count = nil, nil, nil, nil, nil, nil, nil // collectable before the index arrays below are allocated
+
+	cs.posOff = make([]int32, m+1)
+	for c := 0; c < m; c++ {
+		cs.posOff[c+1] = cs.posOff[c] + occs[c]
+	}
+	fill := occs // next free slot of each candidate's list
 	copy(fill, cs.posOff[:m])
-	cs.pos = make([]int32, len(slots))
-	cs.slotOcc = make([]int32, len(slots))
-	cs.slotCand = slots // renumbered in place below
+	cs.pos = make([]int32, len(slotCand))
+	cs.slotOcc = make([]int32, len(slotCand))
+	cs.slotCand = slotCand
 	for j := 0; j < n; j++ {
 		for s := cs.startOff[j]; s < cs.startOff[j+1]; s++ {
-			c := serialOf[slots[s]]
-			o := fill[c]
-			fill[c]++
+			o := fill[slotCand[s]]
+			fill[slotCand[s]]++
 			cs.pos[o] = int32(j)
 			cs.slotOcc[s] = o
-			cs.slotCand[s] = c
 		}
 	}
 	return cs
+}
+
+// countSort stably distributes src into dst by key[x] of each element x,
+// every key below len(count); count is scratch.
+func countSort(dst, src, key, count []int32) {
+	clear(count)
+	for _, x := range src {
+		count[key[x]]++
+	}
+	sum := int32(0)
+	for b, c := range count {
+		count[b] = sum
+		sum += c
+	}
+	for _, x := range src {
+		k := key[x]
+		dst[count[k]] = x
+		count[k]++
+	}
 }
 
 // selector is the per-build state of one selection over a shared index:
@@ -524,64 +559,5 @@ func (g *selector) down(i int) {
 		}
 		h[i], h[best] = h[best], h[i]
 		i = best
-	}
-}
-
-// equalWords reports a == b elementwise.
-func equalWords(a, b []uint32) bool {
-	if len(a) != len(b) {
-		return false
-	}
-	for i := range a {
-		if a[i] != b[i] {
-			return false
-		}
-	}
-	return true
-}
-
-// lessWords is the word-lexicographic order (shorter prefix first) —
-// identical to comparing the sequences' big-endian byte strings.
-func lessWords(a, b []uint32) bool {
-	n := len(a)
-	if len(b) < n {
-		n = len(b)
-	}
-	for i := 0; i < n; i++ {
-		if a[i] != b[i] {
-			return a[i] < b[i]
-		}
-	}
-	return len(a) < len(b)
-}
-
-// mergeSort sorts s by less using buf (len(buf) >= len(s)) as scratch.
-// Keys are unique, so any comparison sort yields the same total order;
-// this is a bespoke merge sort to avoid sort.Slice's interface overhead
-// on the index's one O(m log m) step.
-func mergeSort(s, buf []int32, less func(a, b int32) bool) {
-	if len(s) < 2 {
-		return
-	}
-	m := len(s) / 2
-	mergeSort(s[:m], buf[:m], less)
-	mergeSort(s[m:], buf[m:], less)
-	copy(buf, s)
-	i, j := 0, m
-	for k := range s {
-		switch {
-		case i >= m:
-			s[k] = buf[j]
-			j++
-		case j >= len(s):
-			s[k] = buf[i]
-			i++
-		case less(buf[j], buf[i]):
-			s[k] = buf[j]
-			j++
-		default:
-			s[k] = buf[i]
-			i++
-		}
 	}
 }

@@ -9,6 +9,7 @@ import (
 	"encoding/binary"
 	"fmt"
 	"io"
+	"slices"
 )
 
 // Limits on variable-length fields.
@@ -19,12 +20,18 @@ const (
 	MaxCount = 1 << 26
 )
 
+// chunk bounds the buffer a length-prefixed read allocates ahead of the
+// data, so a forged length costs at most this much before the input runs
+// out; longer fields grow as their bytes arrive.
+const chunk = 64 << 10
+
 // Writer serializes big-endian values with a sticky error: after the first
 // failure every subsequent call is a no-op, so call sites stay linear and
 // check Err once at the end.
 type Writer struct {
 	w   io.Writer
 	err error
+	buf [8]byte
 }
 
 // NewWriter wraps dst. Buffering is the caller's concern.
@@ -41,21 +48,27 @@ func (w *Writer) Fail(err error) {
 }
 
 // U8 writes one byte.
-func (w *Writer) U8(v uint8) { w.bin(v) }
+func (w *Writer) U8(v uint8) {
+	w.buf[0] = v
+	w.Bytes(w.buf[:1])
+}
 
 // U16 writes a big-endian uint16.
-func (w *Writer) U16(v uint16) { w.bin(v) }
+func (w *Writer) U16(v uint16) {
+	binary.BigEndian.PutUint16(w.buf[:], v)
+	w.Bytes(w.buf[:2])
+}
 
 // U32 writes a big-endian uint32.
-func (w *Writer) U32(v uint32) { w.bin(v) }
+func (w *Writer) U32(v uint32) {
+	binary.BigEndian.PutUint32(w.buf[:], v)
+	w.Bytes(w.buf[:4])
+}
 
 // U64 writes a big-endian uint64.
-func (w *Writer) U64(v uint64) { w.bin(v) }
-
-func (w *Writer) bin(v interface{}) {
-	if w.err == nil {
-		w.err = binary.Write(w.w, binary.BigEndian, v)
-	}
+func (w *Writer) U64(v uint64) {
+	binary.BigEndian.PutUint64(w.buf[:], v)
+	w.Bytes(w.buf[:8])
 }
 
 // Bytes writes raw bytes with no length prefix.
@@ -88,8 +101,15 @@ func (w *Writer) Str(s string) {
 // Words writes a uint32 count followed by each word.
 func (w *Writer) Words(ws []uint32) {
 	w.U32(uint32(len(ws)))
-	for _, x := range ws {
-		w.U32(x)
+	var b []byte
+	for len(ws) > 0 && w.err == nil {
+		n := min(len(ws), chunk/4)
+		b = b[:0]
+		for _, x := range ws[:n] {
+			b = binary.BigEndian.AppendUint32(b, x)
+		}
+		w.Bytes(b)
+		ws = ws[n:]
 	}
 }
 
@@ -98,6 +118,7 @@ func (w *Writer) Words(ws []uint32) {
 type Reader struct {
 	r   io.Reader
 	err error
+	buf [8]byte
 }
 
 // NewReader wraps src. Buffering is the caller's concern.
@@ -114,24 +135,49 @@ func (r *Reader) Fail(err error) {
 }
 
 // U8 reads one byte.
-func (r *Reader) U8() (v uint8) { r.bin(&v); return }
-
-// U16 reads a big-endian uint16.
-func (r *Reader) U16() (v uint16) { r.bin(&v); return }
-
-// U32 reads a big-endian uint32.
-func (r *Reader) U32() (v uint32) { r.bin(&v); return }
-
-// U64 reads a big-endian uint64.
-func (r *Reader) U64() (v uint64) { r.bin(&v); return }
-
-func (r *Reader) bin(v interface{}) {
-	if r.err == nil {
-		r.err = binary.Read(r.r, binary.BigEndian, v)
+func (r *Reader) U8() uint8 {
+	if !r.fill(1) {
+		return 0
 	}
+	return r.buf[0]
 }
 
-// Bytes reads exactly n raw bytes, rejecting implausible lengths.
+// U16 reads a big-endian uint16.
+func (r *Reader) U16() uint16 {
+	if !r.fill(2) {
+		return 0
+	}
+	return binary.BigEndian.Uint16(r.buf[:])
+}
+
+// U32 reads a big-endian uint32.
+func (r *Reader) U32() uint32 {
+	if !r.fill(4) {
+		return 0
+	}
+	return binary.BigEndian.Uint32(r.buf[:])
+}
+
+// U64 reads a big-endian uint64.
+func (r *Reader) U64() uint64 {
+	if !r.fill(8) {
+		return 0
+	}
+	return binary.BigEndian.Uint64(r.buf[:])
+}
+
+// fill reads n bytes into buf and reports success.
+func (r *Reader) fill(n int) bool {
+	if r.err == nil {
+		_, r.err = io.ReadFull(r.r, r.buf[:n])
+	}
+	return r.err == nil
+}
+
+// Bytes reads exactly n raw bytes, rejecting implausible lengths. The
+// buffer grows a chunk at a time as the bytes arrive. A short input fails
+// with io.EOF when it ends before the first byte and io.ErrUnexpectedEOF
+// after it, as io.ReadFull does.
 func (r *Reader) Bytes(n int) []byte {
 	if r.err != nil {
 		return nil
@@ -140,10 +186,19 @@ func (r *Reader) Bytes(n int) []byte {
 		r.err = fmt.Errorf("wire: implausible length %d", n)
 		return nil
 	}
-	b := make([]byte, n)
-	if _, err := io.ReadFull(r.r, b); err != nil {
-		r.err = err
-		return nil
+	b := make([]byte, 0, min(n, chunk))
+	for len(b) < n {
+		m := min(n-len(b), max(len(b), chunk))
+		b = slices.Grow(b, m)
+		got, err := io.ReadFull(r.r, b[len(b):len(b)+m])
+		if err != nil {
+			if err == io.EOF && len(b) > 0 {
+				err = io.ErrUnexpectedEOF
+			}
+			r.err = err
+			return nil
+		}
+		b = b[:len(b)+got]
 	}
 	return b
 }
@@ -154,7 +209,10 @@ func (r *Reader) Blob() []byte { return r.Bytes(int(r.U32())) }
 // Str reads a uint16 length prefix and that many string bytes.
 func (r *Reader) Str() string { return string(r.Bytes(int(r.U16()))) }
 
-// Words reads a uint32 count and that many words.
+// Words reads a uint32 count and that many words, decoding a chunk of
+// them at a time. A short input fails as a read of each word in turn
+// would: io.EOF when it ends on a word boundary, io.ErrUnexpectedEOF
+// inside a word.
 func (r *Reader) Words() []uint32 {
 	n := int(r.U32())
 	if r.err != nil {
@@ -164,9 +222,22 @@ func (r *Reader) Words() []uint32 {
 		r.err = fmt.Errorf("wire: implausible word count %d", n)
 		return nil
 	}
-	out := make([]uint32, n)
-	for i := range out {
-		out[i] = r.U32()
+	out := make([]uint32, 0, min(n, chunk/4))
+	var b []byte
+	for len(out) < n {
+		m := min(n-len(out), chunk/4)
+		b = slices.Grow(b[:0], 4*m)[:4*m]
+		got, err := io.ReadFull(r.r, b)
+		if err != nil {
+			if err == io.ErrUnexpectedEOF && got%4 == 0 {
+				err = io.EOF
+			}
+			r.err = err
+			return nil
+		}
+		for i := 0; i < len(b); i += 4 {
+			out = append(out, binary.BigEndian.Uint32(b[i:]))
+		}
 	}
 	return out
 }

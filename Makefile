@@ -32,18 +32,18 @@ smoke:
 diff:
 	$(GO) test -run 'MatchesReference|MatchesTranscription|StrategyParity|EnumerationEdgeCases|CappedBuildIsPrefix|FuzzBuildDifferential' ./internal/dictionary
 
-# Dispatch gate: codec selection flows through the registry. A switch on a
-# codeword scheme anywhere outside internal/codec and internal/codeword is
-# a hard-coded dispatch site reintroducing the pre-registry pattern; add a
-# Codec method or an interface facet instead (see DESIGN.md, "Codec
-# registry").
+# Dispatch gate: codec selection flows through the codec table in
+# internal/codecs. A switch on a codeword scheme anywhere outside
+# internal/codeword — the table included — is a hard-coded dispatch site;
+# add a table column or an image method instead (see DESIGN.md, "Codec
+# table").
 lint-dispatch:
 	@found=$$(grep -rn 'switch.*[Ss]cheme' --include='*.go' \
-		--exclude-dir=codec --exclude-dir=codeword . || true); \
+		--exclude-dir=codeword . || true); \
 	if [ -n "$$found" ]; then \
 		echo "$$found"; \
-		echo 'lint-dispatch: switch-on-Scheme dispatch outside internal/codec and internal/codeword'; \
-		echo 'lint-dispatch: route codec selection through the registry (DESIGN.md, "Codec registry")'; \
+		echo 'lint-dispatch: switch-on-Scheme dispatch outside internal/codeword'; \
+		echo 'lint-dispatch: route codec selection through the codec table in internal/codecs (DESIGN.md, "Codec table")'; \
 		exit 1; \
 	fi
 

@@ -14,7 +14,7 @@ import (
 	"os"
 	"strings"
 
-	"repro/internal/codec"
+	"repro/internal/codecs"
 	"repro/internal/codeword"
 	"repro/internal/core"
 	"repro/internal/objfile"
@@ -48,12 +48,12 @@ func main() {
 			disImage(img, *dictOnly, *limit)
 			return
 		}
-		c, err := codec.ByMethod(oi.Method())
+		c, err := codecs.ByMethod(oi.Method())
 		if err != nil {
 			fatal(err)
 		}
 		fmt.Printf("%s codec (method 0x%02x): %d compressed bytes, ratio %.3f\n",
-			c.Name(), uint8(oi.Method()), oi.CompressedBytes(), oi.Ratio())
+			c.Name, uint8(oi.Method()), oi.CompressedBytes(), oi.Ratio())
 		fmt.Println("no codeword stream to disassemble (not a dictionary image)")
 		return
 	}

@@ -17,7 +17,7 @@ import (
 	"strings"
 
 	"repro/internal/bench"
-	"repro/internal/cli"
+	"repro/internal/codecs"
 	"repro/internal/codeword"
 	"repro/internal/core"
 	"repro/internal/dictionary"
@@ -70,14 +70,14 @@ func loadProgram(path string) (*program.Program, error) {
 
 func build(args []string) {
 	fs := flag.NewFlagSet("build", flag.ExitOnError)
-	schemeName := fs.String("scheme", "baseline", "codeword scheme: "+strings.Join(cli.SchemeNames(), ", "))
+	schemeName := fs.String("scheme", "baseline", "codeword scheme: "+strings.Join(codecs.SchemeNames(), ", "))
 	entryLen := fs.Int("entrylen", 4, "maximum instructions per entry")
 	out := fs.String("o", "fleet.ppd", "output dictionary path")
 	fs.Parse(args)
 	if fs.NArg() == 0 {
 		usage()
 	}
-	scheme, err := cli.ParseScheme(*schemeName)
+	scheme, err := codecs.SchemeByName(*schemeName)
 	if err != nil {
 		fatal(err)
 	}
@@ -106,7 +106,7 @@ func build(args []string) {
 
 func compress(args []string) {
 	fs := flag.NewFlagSet("compress", flag.ExitOnError)
-	schemeName := fs.String("scheme", "baseline", "codeword scheme: "+strings.Join(cli.SchemeNames(), ", "))
+	schemeName := fs.String("scheme", "baseline", "codeword scheme: "+strings.Join(codecs.SchemeNames(), ", "))
 	dictPath := fs.String("dict", "", "shared dictionary (.ppd)")
 	out := fs.String("o", "", "output .ppz (single input only; default input with .ppz suffix)")
 	parallel := fs.Int("parallel", runtime.GOMAXPROCS(0), "bound on concurrent compressions")
@@ -117,7 +117,7 @@ func compress(args []string) {
 	if *out != "" && fs.NArg() > 1 {
 		usage()
 	}
-	scheme, err := cli.ParseScheme(*schemeName)
+	scheme, err := codecs.SchemeByName(*schemeName)
 	if err != nil {
 		fatal(err)
 	}

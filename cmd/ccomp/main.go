@@ -1,11 +1,11 @@
 // Command ccomp compresses a .ppx object file into a .ppz image with any
-// registered codec, verifies it against the original, and prints the size
+// codec, verifies it against the original, and prints the size
 // breakdown. The output image is self-describing: its frame records the
 // codec, so ccrun/ccdis need no scheme flag to open it.
 //
 // Usage:
 //
-//	ccomp -list-codecs                         # registered codecs
+//	ccomp -list-codecs                         # the codec table
 //	ccomp -scheme nibble -o prog.ppz prog.ppx
 //	ccomp -scheme ccrp prog.ppx                # non-dictionary codecs too
 //	ccomp -scheme baseline -entries 1024 -entrylen 8 prog.ppx
@@ -19,8 +19,8 @@ import (
 	"os"
 	"strings"
 
-	"repro/internal/cli"
 	"repro/internal/codec"
+	"repro/internal/codecs"
 	"repro/internal/core"
 	"repro/internal/objfile"
 	"repro/internal/obs"
@@ -34,14 +34,13 @@ func main() {
 	out := flag.String("o", "", "output .ppz path (default: input with .ppz suffix)")
 	audit := flag.Bool("audit", false, "print the byte-provenance audit: every compressed byte attributed to its source function and overhead class")
 	auditDiff := flag.Bool("auditdiff", false, "print per-function size deltas, native vs compressed")
-	listCodecs := flag.Bool("list-codecs", false, "list the registered codecs (method byte, name, aliases) and exit")
+	listCodecs := flag.Bool("list-codecs", false, "list the codecs (method byte, name, aliases) and exit")
 	flag.Parse()
 
 	if *listCodecs {
 		fmt.Println("method  name      aliases")
-		for _, c := range codec.Codecs() {
-			fmt.Printf("  0x%02x  %-8s  %s\n", uint8(c.Method()), c.Name(),
-				strings.Join(codec.Aliases(c.Name()), ", "))
+		for _, c := range codecs.All() {
+			fmt.Printf("  0x%02x  %-8s  %s\n", uint8(c.Method), c.Name, strings.Join(c.Aliases, ", "))
 		}
 		return
 	}
@@ -51,7 +50,7 @@ func main() {
 		os.Exit(2)
 	}
 	in := flag.Arg(0)
-	cd, err := cli.ParseCodec(*schemeName)
+	cd, err := codecs.ByName(*schemeName)
 	if err != nil {
 		fatal(err)
 	}
@@ -66,17 +65,18 @@ func main() {
 		fatal(err)
 	}
 
-	var em *sizeaudit.Emitter
+	opt := codec.Options{MaxEntries: *entries, MaxEntryLen: *entryLen}
+	var img codec.Image
+	var a *sizeaudit.Audit
 	if *audit || *auditDiff {
-		em = sizeaudit.NewProgramEmitter(p)
+		img, a, err = codecs.Audit(cd, p, opt)
+	} else {
+		img, err = cd.Compress(p, opt)
 	}
-	img, err := cd.Compress(p, codec.Options{
-		MaxEntries: *entries, MaxEntryLen: *entryLen, Audit: em,
-	})
 	if err != nil {
 		fatal(err)
 	}
-	if err := cd.Verify(p, img); err != nil {
+	if err := img.Verify(p); err != nil {
 		fatal(fmt.Errorf("verification failed: %w", err))
 	}
 
@@ -95,7 +95,7 @@ func main() {
 		fatal(err)
 	}
 
-	fmt.Printf("%s: %s codec (method 0x%02x)\n", p.Name, cd.Name(), uint8(cd.Method()))
+	fmt.Printf("%s: %s codec (method 0x%02x)\n", p.Name, cd.Name, uint8(cd.Method))
 	fmt.Printf("  original         %8d bytes (%d instructions)\n", p.SizeBytes(), p.SizeBytes()/4)
 	if di, ok := img.(*core.Image); ok {
 		st := di.Stats
@@ -111,17 +111,11 @@ func main() {
 	}
 	fmt.Printf("  verified: structural equivalence OK -> %s\n", dst)
 
-	if em != nil {
-		a := em.Finish(p.Name, cd.Name(), img.CompressedBytes(), p.SizeBytes())
-		if err := a.Check(); err != nil {
-			fatal(err)
-		}
-		if *audit {
-			report(obs.AuditReport(a))
-		}
-		if *auditDiff {
-			report(obs.AuditDiffReport(sizeaudit.Diff(sizeaudit.AuditProgram(p), a)))
-		}
+	if *audit {
+		report(obs.AuditReport(a))
+	}
+	if *auditDiff {
+		report(obs.AuditDiffReport(sizeaudit.Diff(sizeaudit.AuditProgram(p), a)))
 	}
 }
 

@@ -22,6 +22,7 @@ import (
 
 	"repro/internal/cache"
 	"repro/internal/codec"
+	"repro/internal/codecs"
 	"repro/internal/core"
 	"repro/internal/objfile"
 	"repro/internal/obs"
@@ -59,8 +60,8 @@ func main() {
 			fatal(err)
 		}
 		id.Method = uint8(oi.Method())
-		if c, err := codec.ByMethod(oi.Method()); err == nil {
-			id.Codec = c.Name()
+		if c, err := codecs.ByMethod(oi.Method()); err == nil {
+			id.Codec = c.Name
 		}
 		if img, ok := oi.(*core.Image); ok && img.Name != "" {
 			id.Bench = img.Name

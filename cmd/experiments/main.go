@@ -66,14 +66,14 @@ func main() {
 	timeout := flag.Duration("timeout", 0, "cancel the run after this duration (0 = no deadline)")
 	showStats := flag.Bool("stats", false, "print each experiment's counter/phase summary after its table")
 	pprofAddr := flag.String("pprof", "", "serve net/http/pprof and the live stats snapshot (expvar \"stats\") on this address, e.g. :6060")
-	bundleDir := flag.String("bundle", "", "write run bundles into this directory: experiments/ holding the whole run's stats and trace, plus one per benchmark natively (<bench>.native/) and under every registered codec (<bench>.<codec>/)")
+	bundleDir := flag.String("bundle", "", "write run bundles into this directory: experiments/ holding the whole run's stats and trace, plus one per benchmark natively (<bench>.native/) and under every codec (<bench>.<codec>/)")
 	flag.Parse()
 
 	if *list {
 		for _, e := range bench.Experiments {
 			fmt.Printf("%-20s %s\n", e.ID, e.Title)
 		}
-		fmt.Printf("\nencodings (codec registry): %s\n", strings.Join(bench.AuditEncodings, ", "))
+		fmt.Printf("\nencodings (codec table): %s\n", strings.Join(bench.AuditEncodings, ", "))
 		return
 	}
 
@@ -152,7 +152,7 @@ func main() {
 
 // writeBundles fills the -bundle directory: experiments/ holding the whole
 // run's stats and trace, then one bundle per benchmark natively and under
-// every registered codec. When an experiment failed, the run bundle is
+// every codec. When an experiment failed, the run bundle is
 // still written — it is the artifact that explains the failure — and only
 // the per-benchmark bundles are skipped.
 func writeBundles(w io.Writer, dir string, col *obs.Collector, corpus *bench.Corpus, runErr error) error {

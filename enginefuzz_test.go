@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"repro/internal/codec"
+	"repro/internal/codecs"
 	"repro/internal/machine"
 	"repro/internal/stats"
 	"repro/internal/synth"
@@ -51,10 +52,10 @@ func FuzzFastPathDifferential(f *testing.F) {
 		}
 		comparePaths(t, "native", fastN, slowN, sampN)
 
-		for _, cd := range codec.Codecs() {
+		for _, cd := range codecs.All() {
 			img, err := cd.Compress(p, codec.Options{})
 			if err != nil {
-				t.Fatalf("%s: compress: %v", cd.Name(), err)
+				t.Fatalf("%s: compress: %v", cd.Name, err)
 			}
 			ex, ok := img.(codec.Executable)
 			if !ok {
@@ -62,17 +63,17 @@ func FuzzFastPathDifferential(f *testing.F) {
 			}
 			fast, err := ex.NewMachine()
 			if err != nil {
-				t.Fatalf("%s: new machine: %v", cd.Name(), err)
+				t.Fatalf("%s: new machine: %v", cd.Name, err)
 			}
 			slow, err := ex.NewMachine()
 			if err != nil {
-				t.Fatalf("%s: new machine: %v", cd.Name(), err)
+				t.Fatalf("%s: new machine: %v", cd.Name, err)
 			}
 			samp, err := ex.NewMachine()
 			if err != nil {
-				t.Fatalf("%s: new machine: %v", cd.Name(), err)
+				t.Fatalf("%s: new machine: %v", cd.Name, err)
 			}
-			comparePaths(t, cd.Name(), fast, slow, samp)
+			comparePaths(t, cd.Name, fast, slow, samp)
 		}
 	})
 }

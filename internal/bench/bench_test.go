@@ -151,7 +151,7 @@ func TestFig11Band(t *testing.T) {
 
 func TestBaselinesOrdering(t *testing.T) {
 	tab := runExp(t, "baselines")
-	// Columns follow the codec registry's method-byte order plus thumb16:
+	// Columns follow the codec table's method-byte order plus thumb16:
 	// bench, baseline, onebyte, nibble, liao, ccrp, lzw, thumb16.
 	if want := append(append([]string{"bench"}, AuditEncodings...), "thumb16"); len(tab.Columns) != len(want) {
 		t.Fatalf("baselines columns %v, want %v", tab.Columns, want)

@@ -4,9 +4,9 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
-	"strings"
 
 	"repro/internal/codec"
+	"repro/internal/codecs"
 	"repro/internal/core"
 	"repro/internal/obs"
 	"repro/internal/program"
@@ -19,7 +19,7 @@ const nativeEnc = "native"
 // matching the profiled-run budget used everywhere else in the package.
 const bundleStepBudget = 200_000_000
 
-// CollectBundle runs one benchmark under one registered codec, or natively
+// CollectBundle runs one benchmark under one codec, or natively
 // when enc is "native", with a full collector attached and returns the
 // assembled run bundle: stats always; the size audit for every codec;
 // execution profile, symbolized guest profile and folded stacks when the
@@ -35,19 +35,19 @@ func CollectBundle(c *Corpus, name, enc string, opt core.Options) (*obs.Bundle, 
 		}
 		return runBundle(obs.NewCollector(obs.Identity{Bench: name, Codec: nativeEnc}), nil, p, name, enc)
 	}
-	cd, err := codec.ByName(enc)
+	cd, err := codecs.ByName(enc)
 	if err != nil {
 		return nil, err
 	}
 	id := obs.Identity{
 		Bench:  name,
-		Codec:  strings.ToLower(cd.Name()),
-		Method: uint8(cd.Method()),
+		Codec:  cd.Name,
+		Method: uint8(cd.Method),
 	}
 
-	if sc, ok := cd.(codec.Schemed); ok {
+	if s, ok := cd.Scheme(); ok {
 		o := opt
-		o.Scheme = sc.Scheme()
+		o.Scheme = s
 		if o.MaxEntryLen == 0 {
 			o.MaxEntryLen = 4
 		}
@@ -66,22 +66,18 @@ func CollectBundle(c *Corpus, name, enc string, opt core.Options) (*obs.Bundle, 
 		return runBundle(col, img, nil, name, enc)
 	}
 
-	// Other codecs compress once for the audit and once with the
-	// collector's recorder attached.
+	// Other codecs compress once, with the collector's recorder and a
+	// live provenance emitter both attached.
 	col := obs.NewCollector(id)
 	p, err := c.Program(name)
 	if err != nil {
 		return nil, err
 	}
-	sa, err := cd.Audit(p, codec.Options{})
+	ci, sa, err := codecs.Audit(cd, p, codec.Options{Stats: col.Recorder()})
 	if err != nil {
 		return nil, err
 	}
 	col.SetAudit(sa)
-	ci, err := cd.Compress(p, codec.Options{Stats: col.Recorder()})
-	if err != nil {
-		return nil, err
-	}
 	ex, ok := ci.(codec.Executable)
 	if !ok {
 		// Size comparator: the bundle carries compression stats and the
@@ -101,7 +97,7 @@ func runBundle(col *obs.Collector, exe codec.Executable, p *program.Program, nam
 
 // WriteBundles collects and writes one bundle per (benchmark, encoding)
 // pair into dir/<bench>.<encoding>/. A nil or empty encs selects the
-// native run plus every registered codec. The timestamp is stamped
+// native run plus every codec. The timestamp is stamped
 // verbatim into each bundle's identity; pass "" for reproducible output.
 func WriteBundles(c *Corpus, dir string, opt core.Options, encs []string, timestamp string) error {
 	if len(encs) == 0 {

@@ -11,7 +11,7 @@ import (
 )
 
 // TestBundleRoundTrip is the flight-recorder contract over the full
-// matrix: for every benchmark under every registered codec, the collected
+// matrix: for every benchmark under every codec, the collected
 // bundle survives Write → Open with every section reflect.DeepEqual, and
 // rewriting the reopened bundle reproduces every file byte for byte
 // (canonical encoding: checksums are stable across round trips).

@@ -5,6 +5,7 @@ import (
 
 	"repro/internal/cache"
 	"repro/internal/codec"
+	"repro/internal/codecs"
 	"repro/internal/codeword"
 	"repro/internal/core"
 	"repro/internal/lzw"
@@ -435,14 +436,13 @@ func Table3(c *Corpus) (*Table, error) {
 	return t, nil
 }
 
-// ExtBaselines compares every registered codec against the Thumb model:
-// one ratio column per registry entry in method-byte order, so a newly
-// registered codec appears in the table automatically.
+// ExtBaselines compares every codec against the Thumb model: one ratio
+// column per codec-table row, in method-byte order.
 func ExtBaselines(c *Corpus) (*Table, error) {
 	t := &Table{
 		ID:      "baselines",
 		Title:   "Compression ratio by method (dictionary schemes vs related work)",
-		Columns: append(append([]string{"bench"}, codec.Names()...), "thumb16"),
+		Columns: append(append([]string{"bench"}, codecs.Names()...), "thumb16"),
 		Note: "expected: nibble < baseline < liao ≈ thumb16 ≈ ccrp; Liao suffers " +
 			"because single instructions cannot profit from 32-bit codewords (§2.4); " +
 			"thumb16 is the §2.2 fixed-16-bit re-encoding model (optimistic for Thumb)",
@@ -455,11 +455,11 @@ func ExtBaselines(c *Corpus) (*Table, error) {
 			return nil, err
 		}
 		row := []string{name}
-		for _, cd := range codec.Codecs() {
+		for _, cd := range codecs.All() {
 			var img codec.Image
-			if sc, ok := cd.(codec.Schemed); ok {
+			if s, ok := cd.Scheme(); ok {
 				// Dictionary schemes go through the memoizing corpus cache.
-				img, err = c.Image(name, core.Options{Scheme: sc.Scheme(), MaxEntryLen: 4})
+				img, err = c.Image(name, core.Options{Scheme: s, MaxEntryLen: 4})
 			} else {
 				img, err = cd.Compress(p, codec.Options{Stats: c.Recorder()})
 			}

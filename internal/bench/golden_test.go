@@ -11,15 +11,16 @@ import (
 	"testing"
 
 	"repro/internal/codec"
+	"repro/internal/codecs"
 	"repro/internal/core"
 )
 
 // TestGoldenImagePayloads pins the serialized payload of every benchmark
-// under every registered codec to hashes captured before the codec
-// registry existed. A mismatch means the refactor changed what lands on
+// under every codec to hashes captured before the codec registry (now the
+// codec table) existed. A mismatch means a refactor changed what lands on
 // disk — either the encoder's output or the payload framing drifted.
 //
-// The hashes cover the codec payload only (what Codec.WriteImage emits),
+// The hashes cover the codec payload only (what Image.WritePayload emits),
 // not the outer PPCZ frame: the frame deliberately changed from v1 to the
 // self-describing v2 header, but every payload byte behind it must not.
 func TestGoldenImagePayloads(t *testing.T) {
@@ -58,9 +59,9 @@ func TestGoldenImagePayloads(t *testing.T) {
 	if err := sc.Err(); err != nil {
 		t.Fatal(err)
 	}
-	// The table must cover the whole registry: a codec added without a
-	// golden row would silently escape the regression gate.
-	for _, name := range codec.Names() {
+	// The golden rows must cover the whole codec table: a codec added
+	// without a golden row would silently escape the regression gate.
+	for _, name := range codecs.Names() {
 		if !seen[name] {
 			t.Errorf("codec %q has no golden rows; regenerate testdata/golden_hashes.txt", name)
 		}
@@ -68,13 +69,13 @@ func TestGoldenImagePayloads(t *testing.T) {
 }
 
 func payloadHash(c *Corpus, bench, enc string) (string, error) {
-	cd, err := codec.ByName(enc)
+	cd, err := codecs.ByName(enc)
 	if err != nil {
 		return "", err
 	}
 	var img codec.Image
-	if sc, ok := cd.(codec.Schemed); ok {
-		img, err = c.Image(bench, core.Options{Scheme: sc.Scheme(), MaxEntryLen: 4})
+	if s, ok := cd.Scheme(); ok {
+		img, err = c.Image(bench, core.Options{Scheme: s, MaxEntryLen: 4})
 	} else {
 		prog, perr := c.Program(bench)
 		if perr != nil {
@@ -86,7 +87,7 @@ func payloadHash(c *Corpus, bench, enc string) (string, error) {
 		return "", err
 	}
 	var buf bytes.Buffer
-	if err := cd.WriteImage(&buf, img); err != nil {
+	if err := img.WritePayload(&buf); err != nil {
 		return "", fmt.Errorf("serialize %s/%s: %w", bench, enc, err)
 	}
 	sum := sha256.Sum256(buf.Bytes())

@@ -4,6 +4,7 @@ import (
 	"fmt"
 
 	"repro/internal/codec"
+	"repro/internal/codecs"
 	"repro/internal/core"
 	"repro/internal/sizeaudit"
 )
@@ -15,23 +16,22 @@ func init() {
 }
 
 // AuditEncodings lists the encodings the size-audit experiment covers —
-// every registered codec, in method-byte (table) order: the dictionary
-// codeword schemes first, then the comparator compressors. A codec
-// registering itself joins the audit sweep with no change here.
-var AuditEncodings = codec.Names()
+// every codec, in method-byte (table) order: the dictionary codeword
+// schemes first, then the comparator compressors.
+var AuditEncodings = codecs.Names()
 
 // AuditFor produces the byte-provenance audit of one benchmark under one
-// encoding (a registered codec name). Dictionary schemes reconstruct the
-// audit from the memoized image's marks; other codecs attach a live
-// emitter to their encoders. Every returned audit has passed its
-// conservation check — the experiment is self-verifying.
+// encoding (a codec name). Dictionary schemes reconstruct the audit from
+// the memoized image's marks; other codecs attach a live emitter to their
+// encoders. Every returned audit has passed its conservation check — the
+// experiment is self-verifying.
 func AuditFor(c *Corpus, name, enc string) (*sizeaudit.Audit, error) {
-	cd, err := codec.ByName(enc)
+	cd, err := codecs.ByName(enc)
 	if err != nil {
 		return nil, fmt.Errorf("bench: unknown audit encoding %q", enc)
 	}
-	if sc, ok := cd.(codec.Schemed); ok {
-		img, err := c.Image(name, core.Options{Scheme: sc.Scheme(), MaxEntryLen: 4})
+	if s, ok := cd.Scheme(); ok {
+		img, err := c.Image(name, core.Options{Scheme: s, MaxEntryLen: 4})
 		if err != nil {
 			return nil, err
 		}
@@ -41,7 +41,8 @@ func AuditFor(c *Corpus, name, enc string) (*sizeaudit.Audit, error) {
 	if err != nil {
 		return nil, err
 	}
-	return cd.Audit(p, codec.Options{Stats: c.Recorder()})
+	_, a, err := codecs.Audit(cd, p, codec.Options{Stats: c.Recorder()})
+	return a, err
 }
 
 // ExtSizeAudit attributes every compressed byte of every benchmark under

@@ -1,15 +1,11 @@
-// Package codec defines the pluggable compression-codec registry: every
-// encoding the pipeline supports — the paper's dictionary codeword schemes,
-// the CCRP Huffman comparator, the LZW comparator — registers itself here
-// under a stable one-byte method id and a canonical name, and every layer
-// above (objfile framing, CLI parsing, the bench tables, the command-line
-// tools) enumerates or dispatches through the registry instead of
-// hard-coding scheme lists. Adding a codec means implementing Codec in its
-// home package and calling Register from an init function; no other file
-// changes.
+// Package codec defines the types every encoding shares: the stable
+// one-byte method id recorded in serialized image frames, the encoding
+// options, and the Image interface with its Executable/Auditable facets.
+// The encodings themselves — the paper's dictionary codeword schemes, the
+// CCRP Huffman comparator, the LZW comparator — are listed in one table in
+// internal/codecs.
 //
-// The shape follows ClickHouse's ICompressionCodec/CompressionFactory: a
-// method byte stored in the serialized frame makes every image
+// The method byte stored in the serialized frame makes every image
 // self-describing, so any tool can open any .ppz without being told its
 // encoding.
 package codec
@@ -17,7 +13,6 @@ package codec
 import (
 	"io"
 
-	"repro/internal/codeword"
 	"repro/internal/machine"
 	"repro/internal/program"
 	"repro/internal/sizeaudit"
@@ -30,7 +25,7 @@ import (
 // their payloads also carry.
 type Method uint8
 
-// Registered method bytes.
+// Method bytes.
 const (
 	Baseline Method = 0 // 2-byte codewords (§4.1)
 	OneByte  Method = 1 // 1-byte codewords (§4.1.2)
@@ -62,10 +57,10 @@ type Options struct {
 	Audit *sizeaudit.Emitter
 }
 
-// Image is a compressed program produced by a Codec. Concrete types carry
-// the codec-specific payload (dictionary entries and marks, Huffman lines
-// and LAT, an LZW blob); the interface is what the generic layers need for
-// framing and size accounting.
+// Image is a compressed program. Concrete types carry the codec-specific
+// payload (dictionary entries and marks, Huffman lines and LAT, an LZW
+// blob); the interface is what the generic layers need for framing,
+// verification and size accounting.
 type Image interface {
 	// Method identifies the codec that produced (and can reopen) the image.
 	Method() Method
@@ -76,6 +71,14 @@ type Image interface {
 
 	// Ratio is Eq. 1: compressed size / original size.
 	Ratio() float64
+
+	// WritePayload serializes the image body: everything a PPCZ frame
+	// stores after its method byte.
+	WritePayload(w io.Writer) error
+
+	// Verify checks the image against the original program (structural
+	// round-trip; the strongest check the encoding supports).
+	Verify(p *program.Program) error
 }
 
 // Executable is implemented by images that can run on the simulator.
@@ -95,44 +98,4 @@ type Executable interface {
 type Auditable interface {
 	Image
 	SizeAudit() (*sizeaudit.Audit, error)
-}
-
-// Schemed is implemented by dictionary codecs (and their images) to expose
-// the underlying codeword scheme. Layers that are specifically about the
-// paper's dictionary method — scheme sweeps, the shared-ROM fleet tools,
-// the memoizing bench corpus — use this to keep their scheme-keyed paths
-// without enumerating codecs by name.
-type Schemed interface {
-	Scheme() codeword.Scheme
-}
-
-// Codec is one registered encoding. Implementations are stateless values;
-// all per-run state lives in the returned images.
-type Codec interface {
-	// Method is the stable frame byte.
-	Method() Method
-
-	// Name is the canonical lower-case name used by CLIs, tables and audit
-	// rows. ByName also accepts registered aliases.
-	Name() string
-
-	// Compress encodes a program. The program is not mutated.
-	Compress(p *program.Program, opt Options) (Image, error)
-
-	// Open deserializes an image payload previously written by WriteImage.
-	// The stream excludes the container magic and frame header — the
-	// objfile layer dispatches here after reading the method byte.
-	Open(r io.Reader) (Image, error)
-
-	// WriteImage serializes an image payload. The image must have been
-	// produced by this codec.
-	WriteImage(w io.Writer, img Image) error
-
-	// Verify checks an image against the original program (structural
-	// round-trip; the strongest check the codec supports).
-	Verify(p *program.Program, img Image) error
-
-	// Audit compresses with a live provenance emitter attached and returns
-	// the finished, conservation-checked audit.
-	Audit(p *program.Program, opt Options) (*sizeaudit.Audit, error)
 }

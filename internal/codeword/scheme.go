@@ -31,9 +31,9 @@ const (
 	Liao
 )
 
-// String is the scheme's canonical name — the same string the codec
-// registry registers it under, so names round-trip: cli.ParseScheme(
-// s.String()) == s for every scheme.
+// String is the scheme's canonical name — the same string the codec table
+// lists it under, so names round-trip: codecs.SchemeByName(s.String()) ==
+// s for every scheme.
 func (s Scheme) String() string {
 	switch s {
 	case Baseline:

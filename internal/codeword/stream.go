@@ -6,15 +6,18 @@ import (
 	"repro/internal/ppc"
 )
 
-// escapeBytes caches ppc.EscapeBytes(); escapeIndex inverts it.
+// escapeBytes caches ppc.EscapeBytes(); escapeIndex inverts it, with -1
+// for a byte that is not an escape.
 var (
 	escapeBytes = ppc.EscapeBytes()
-	escapeIndex = func() map[byte]int {
-		m := make(map[byte]int, 32)
-		for i, b := range escapeBytes {
-			m[b] = i
+	escapeIndex = func() (t [256]int16) {
+		for i := range t {
+			t[i] = -1
 		}
-		return m
+		for i, b := range escapeBytes {
+			t[b] = int16(i)
+		}
+		return t
 	}()
 )
 
@@ -176,7 +179,7 @@ func (r *Reader) At(unit int) (Item, error) {
 		if err != nil {
 			return Item{}, err
 		}
-		if idx, ok := escapeIndex[b0]; ok {
+		if idx := int(escapeIndex[b0]); idx >= 0 {
 			b1, err := r.byteAt(unit*2 + 1)
 			if err != nil {
 				return Item{}, err
@@ -193,7 +196,7 @@ func (r *Reader) At(unit int) (Item, error) {
 		if err != nil {
 			return Item{}, err
 		}
-		if idx, ok := escapeIndex[b0]; ok {
+		if idx := int(escapeIndex[b0]); idx >= 0 {
 			return Item{IsCodeword: true, Rank: idx, Units: 1}, nil
 		}
 		w, err := r.word(unit)

@@ -9,21 +9,12 @@ import (
 	"repro/internal/dictionary"
 	"repro/internal/machine"
 	"repro/internal/program"
-	"repro/internal/sizeaudit"
 	"repro/internal/wire"
 )
 
-// The four dictionary schemes register themselves as codecs; their method
-// bytes equal the raw codeword.Scheme values, which the payload also
-// stores, so the frame's method byte and the body's scheme byte agree.
-func init() {
-	codec.Register(schemeCodec{codeword.Baseline}, "2byte")
-	codec.Register(schemeCodec{codeword.OneByte}, "1byte")
-	codec.Register(schemeCodec{codeword.Nibble})
-	codec.Register(schemeCodec{codeword.Liao})
-}
-
-// Method identifies the dictionary codec that produced the image.
+// Method identifies the dictionary codec that produced the image: the raw
+// scheme value, which the payload also stores, so the frame's method byte
+// and the body's scheme byte agree.
 func (img *Image) Method() codec.Method { return codec.Method(img.Scheme) }
 
 // NewMachine builds a CPU executing the image with the default (on-chip
@@ -31,10 +22,10 @@ func (img *Image) Method() codec.Method { return codec.Method(img.Scheme) }
 // any-encoding dispatch.
 func (img *Image) NewMachine() (*machine.CPU, error) { return NewMachine(img) }
 
-// WriteImagePayload serializes a dictionary image body: everything the
-// PPCZ container stores after its frame header, including the
-// verification marks (sideband metadata).
-func WriteImagePayload(dst io.Writer, img *Image) error {
+// WritePayload serializes a dictionary image body: everything the PPCZ
+// container stores after its frame header, including the verification
+// marks (sideband metadata).
+func (img *Image) WritePayload(dst io.Writer) error {
 	w := wire.NewWriter(dst)
 	w.Str(img.Name)
 	w.U8(uint8(img.Scheme))
@@ -87,7 +78,7 @@ func WriteImagePayload(dst io.Writer, img *Image) error {
 }
 
 // ReadImagePayload deserializes a dictionary image body written by
-// WriteImagePayload.
+// WritePayload.
 func ReadImagePayload(src io.Reader) (*Image, error) {
 	r := wire.NewReader(src)
 	img := &Image{}
@@ -157,78 +148,5 @@ func ReadImagePayload(src io.Reader) (*Image, error) {
 	return img, nil
 }
 
-// schemeCodec adapts one dictionary codeword scheme to the codec
-// interface.
-type schemeCodec struct {
-	scheme codeword.Scheme
-}
-
-// Method is the frame byte — the raw scheme value, by construction.
-func (c schemeCodec) Method() codec.Method { return codec.Method(c.scheme) }
-
-// Name is the scheme's canonical name.
-func (c schemeCodec) Name() string { return c.scheme.String() }
-
-// Scheme exposes the underlying codeword scheme (codec.Schemed), the hook
-// scheme-keyed layers such as the bench corpus cache use.
-func (c schemeCodec) Scheme() codeword.Scheme { return c.scheme }
-
-// options maps the generic codec options onto the dictionary pipeline's.
-func (c schemeCodec) options(opt codec.Options) Options {
-	return Options{
-		Scheme:      c.scheme,
-		MaxEntries:  opt.MaxEntries,
-		MaxEntryLen: opt.MaxEntryLen,
-		Stats:       opt.Stats,
-		Audit:       opt.Audit,
-	}
-}
-
-// Compress runs the full dictionary pipeline on a private clone.
-func (c schemeCodec) Compress(p *program.Program, opt codec.Options) (codec.Image, error) {
-	return Compress(p.Clone(), c.options(opt))
-}
-
-// Open deserializes an image payload and checks it belongs to this codec.
-func (c schemeCodec) Open(r io.Reader) (codec.Image, error) {
-	img, err := ReadImagePayload(r)
-	if err != nil {
-		return nil, err
-	}
-	if img.Scheme != c.scheme {
-		return nil, fmt.Errorf("core: image scheme %v does not match codec %v", img.Scheme, c.scheme)
-	}
-	return img, nil
-}
-
-// WriteImage serializes an image produced by this codec.
-func (c schemeCodec) WriteImage(w io.Writer, img codec.Image) error {
-	di, ok := img.(*Image)
-	if !ok {
-		return fmt.Errorf("core: %T is not a dictionary image", img)
-	}
-	if di.Scheme != c.scheme {
-		return fmt.Errorf("core: image scheme %v does not match codec %v", di.Scheme, c.scheme)
-	}
-	return WriteImagePayload(w, di)
-}
-
 // Verify runs the structural verifier against the original program.
-func (c schemeCodec) Verify(p *program.Program, img codec.Image) error {
-	di, ok := img.(*Image)
-	if !ok {
-		return fmt.Errorf("core: %T is not a dictionary image", img)
-	}
-	return Verify(p, di)
-}
-
-// Audit reconstructs the byte-provenance audit from the image's marks —
-// bit-identical to a live emitter attached during compression, without
-// recompressing (the memoized-image fast path the bench tables rely on).
-func (c schemeCodec) Audit(p *program.Program, opt codec.Options) (*sizeaudit.Audit, error) {
-	img, err := Compress(p.Clone(), c.options(opt))
-	if err != nil {
-		return nil, err
-	}
-	return img.SizeAudit()
-}
+func (img *Image) Verify(p *program.Program) error { return Verify(p, img) }

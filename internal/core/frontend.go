@@ -185,25 +185,7 @@ func NewMachineDictInMemory(img *Image, dictBase uint32) (*machine.CPU, error) {
 // NewMachine builds a CPU executing the compressed image, with data and
 // stack mapped exactly as for the original program.
 func NewMachine(img *Image) (*machine.CPU, error) {
-	mem := machine.NewMemory()
-	data := make([]byte, len(img.Data)+1<<16)
-	copy(data, img.Data)
-	if err := mem.Map("data", img.DataBase, data); err != nil {
-		return nil, err
-	}
-	if err := mem.Map("stack", 0x7FF0_0000-1<<20, make([]byte, 1<<20)); err != nil {
-		return nil, err
-	}
-	fe := NewCompressedFrontend(img)
-	cpu := machine.New(mem, fe)
-	if err := fe.Reset(img.EntryUnit); err != nil {
-		return nil, err
-	}
-	cpu.GPR[1] = 0x7FF0_0000 - 64
-	if err := cpu.SnapshotReset(); err != nil {
-		return nil, err
-	}
-	return cpu, nil
+	return machine.NewGuest(machine.NewMemory(), NewCompressedFrontend(img), img.DataBase, img.Data, img.EntryUnit)
 }
 
 // RunBoth executes the original program and its compressed image and

@@ -182,8 +182,18 @@ func NewCCRPFrontend(img *CCRPImage, cacheLines int) *CCRPFrontend {
 
 var _ machine.Frontend = (*CCRPFrontend)(nil)
 
-// Reset positions fetch.
-func (f *CCRPFrontend) Reset(entry uint32) error { return f.SetPC(entry) }
+// Reset empties the decompressed-line buffer, zeroes Misses and positions
+// fetch at the entry address, so a machine Reset replays a run exactly.
+func (f *CCRPFrontend) Reset(entry uint32) error {
+	for i := range f.tags {
+		f.tags[i] = -1
+	}
+	f.Misses = 0
+	return f.SetPC(entry)
+}
+
+// PC returns the current fetch address.
+func (f *CCRPFrontend) PC() uint32 { return f.pc }
 
 // SetPC redirects fetch; addresses are original text addresses.
 func (f *CCRPFrontend) SetPC(addr uint32) error {
@@ -229,22 +239,8 @@ func (f *CCRPFrontend) Fetch() (machine.FetchInfo, error) {
 	return fi, nil
 }
 
-// NewCCRPMachine builds a CPU executing the CCRP image.
+// NewCCRPMachine builds a CPU executing the CCRP image, with data and
+// stack mapped exactly as for the original program.
 func NewCCRPMachine(img *CCRPImage, cacheLines int) (*machine.CPU, error) {
-	mem := machine.NewMemory()
-	data := make([]byte, len(img.Data)+1<<16)
-	copy(data, img.Data)
-	if err := mem.Map("data", img.DataBase, data); err != nil {
-		return nil, err
-	}
-	if err := mem.Map("stack", 0x7FF0_0000-1<<20, make([]byte, 1<<20)); err != nil {
-		return nil, err
-	}
-	fe := NewCCRPFrontend(img, cacheLines)
-	cpu := machine.New(mem, fe)
-	if err := fe.Reset(img.Entry); err != nil {
-		return nil, err
-	}
-	cpu.GPR[1] = 0x7FF0_0000 - 64
-	return cpu, nil
+	return machine.NewGuest(machine.NewMemory(), NewCCRPFrontend(img, cacheLines), img.DataBase, img.Data, img.Entry)
 }

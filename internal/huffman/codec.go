@@ -8,13 +8,8 @@ import (
 	"repro/internal/codec"
 	"repro/internal/machine"
 	"repro/internal/program"
-	"repro/internal/sizeaudit"
 	"repro/internal/wire"
 )
-
-func init() {
-	codec.Register(ccrpCodec{})
-}
 
 // DefaultCacheLines is the decompressed-line buffer size a self-describing
 // CCRP image executes with when the caller supplies no configuration (the
@@ -31,9 +26,9 @@ func (img *CCRPImage) NewMachine() (*machine.CPU, error) {
 	return NewCCRPMachine(img, DefaultCacheLines)
 }
 
-// WriteCCRPImagePayload serializes a CCRP image body (the bytes after the
-// PPCZ frame header).
-func WriteCCRPImagePayload(dst io.Writer, img *CCRPImage) error {
+// WritePayload serializes a CCRP image body (the bytes after the PPCZ
+// frame header).
+func (img *CCRPImage) WritePayload(dst io.Writer) error {
 	w := wire.NewWriter(dst)
 	w.Str(img.Name)
 	w.U32(uint32(img.LineSize))
@@ -97,51 +92,15 @@ func ReadCCRPImagePayload(src io.Reader) (*CCRPImage, error) {
 	return img, nil
 }
 
-// ccrpCodec adapts the CCRP model to the codec interface with the Ext. A
-// configuration (DefaultCCRP).
-type ccrpCodec struct{}
-
-func (ccrpCodec) Method() codec.Method { return codec.CCRP }
-func (ccrpCodec) Name() string         { return "ccrp" }
-
-func cfgFor(opt codec.Options) CCRP {
-	cfg := DefaultCCRP()
-	cfg.Stats = opt.Stats
-	cfg.Audit = opt.Audit
-	return cfg
-}
-
-// Compress builds a CCRP image; the dictionary-shape options do not apply
-// and are ignored.
-func (ccrpCodec) Compress(p *program.Program, opt codec.Options) (codec.Image, error) {
-	return BuildCCRPImage(p, cfgFor(opt))
-}
-
-// Open deserializes a CCRP image payload.
-func (ccrpCodec) Open(r io.Reader) (codec.Image, error) { return ReadCCRPImagePayload(r) }
-
-// WriteImage serializes a CCRP image payload.
-func (ccrpCodec) WriteImage(w io.Writer, img codec.Image) error {
-	ci, ok := img.(*CCRPImage)
-	if !ok {
-		return fmt.Errorf("huffman: %T is not a CCRP image", img)
-	}
-	return WriteCCRPImagePayload(w, ci)
-}
-
 // Verify decodes every stored line and compares it against the original
 // text — the image-level equivalent of CCRP.Verify.
-func (ccrpCodec) Verify(p *program.Program, img codec.Image) error {
-	ci, ok := img.(*CCRPImage)
-	if !ok {
-		return fmt.Errorf("huffman: %T is not a CCRP image", img)
+func (img *CCRPImage) Verify(p *program.Program) error {
+	if img.NumWords != len(p.Text) {
+		return fmt.Errorf("huffman: image holds %d words, program %d", img.NumWords, len(p.Text))
 	}
-	if ci.NumWords != len(p.Text) {
-		return fmt.Errorf("huffman: image holds %d words, program %d", ci.NumWords, len(p.Text))
-	}
-	wordsPerLine := ci.LineSize / 4
-	for ln := range ci.Lines {
-		words, err := ci.decodeLine(ln)
+	wordsPerLine := img.LineSize / 4
+	for ln := range img.Lines {
+		words, err := img.decodeLine(ln)
 		if err != nil {
 			return err
 		}
@@ -152,21 +111,4 @@ func (ccrpCodec) Verify(p *program.Program, img codec.Image) error {
 		}
 	}
 	return nil
-}
-
-// Audit recompresses with a live provenance emitter and returns the
-// conservation-checked audit.
-func (ccrpCodec) Audit(p *program.Program, opt codec.Options) (*sizeaudit.Audit, error) {
-	em := sizeaudit.NewProgramEmitter(p)
-	cfg := cfgFor(opt)
-	cfg.Audit = em
-	img, err := BuildCCRPImage(p, cfg)
-	if err != nil {
-		return nil, err
-	}
-	a := em.Finish(p.Name, "ccrp", img.CompressedBytes(), p.SizeBytes())
-	if err := a.Check(); err != nil {
-		return nil, err
-	}
-	return a, nil
 }

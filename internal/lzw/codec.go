@@ -7,13 +7,8 @@ import (
 
 	"repro/internal/codec"
 	"repro/internal/program"
-	"repro/internal/sizeaudit"
 	"repro/internal/wire"
 )
-
-func init() {
-	codec.Register(lzwCodec{}, "compress")
-}
 
 // Image is a whole-text LZW compression of a program. It is a size
 // comparator, not an executable encoding: LZW's sequential decode offers
@@ -38,8 +33,8 @@ func (img *Image) Ratio() float64 {
 	return float64(img.CompressedBytes()) / float64(img.OriginalBytes)
 }
 
-// WriteImagePayload serializes an LZW image body.
-func WriteImagePayload(dst io.Writer, img *Image) error {
+// WritePayload serializes an LZW image body.
+func (img *Image) WritePayload(dst io.Writer) error {
 	w := wire.NewWriter(dst)
 	w.Str(img.Name)
 	w.U32(uint32(img.OriginalBytes))
@@ -60,41 +55,9 @@ func ReadImagePayload(src io.Reader) (*Image, error) {
 	return img, nil
 }
 
-// lzwCodec adapts the compressor to the codec interface.
-type lzwCodec struct{}
-
-func (lzwCodec) Method() codec.Method { return codec.LZW }
-func (lzwCodec) Name() string         { return "lzw" }
-
-// Compress encodes the program's text bytes; the dictionary-shape options
-// do not apply and are ignored.
-func (lzwCodec) Compress(p *program.Program, opt codec.Options) (codec.Image, error) {
-	return &Image{
-		Name:          p.Name,
-		OriginalBytes: p.SizeBytes(),
-		Blob:          CompressAudited(p.TextBytes(), opt.Stats, opt.Audit),
-	}, nil
-}
-
-// Open deserializes an LZW image payload.
-func (lzwCodec) Open(r io.Reader) (codec.Image, error) { return ReadImagePayload(r) }
-
-// WriteImage serializes an LZW image payload.
-func (lzwCodec) WriteImage(w io.Writer, img codec.Image) error {
-	li, ok := img.(*Image)
-	if !ok {
-		return fmt.Errorf("lzw: %T is not an LZW image", img)
-	}
-	return WriteImagePayload(w, li)
-}
-
 // Verify decompresses the stream and compares it to the program text.
-func (lzwCodec) Verify(p *program.Program, img codec.Image) error {
-	li, ok := img.(*Image)
-	if !ok {
-		return fmt.Errorf("lzw: %T is not an LZW image", img)
-	}
-	got, err := Decompress(li.Blob)
+func (img *Image) Verify(p *program.Program) error {
+	got, err := Decompress(img.Blob)
 	if err != nil {
 		return err
 	}
@@ -102,16 +65,4 @@ func (lzwCodec) Verify(p *program.Program, img codec.Image) error {
 		return fmt.Errorf("lzw: decompressed text differs from program %s", p.Name)
 	}
 	return nil
-}
-
-// Audit compresses with a live provenance emitter and returns the
-// conservation-checked audit.
-func (lzwCodec) Audit(p *program.Program, opt codec.Options) (*sizeaudit.Audit, error) {
-	em := sizeaudit.NewProgramEmitter(p)
-	out := CompressAudited(p.TextBytes(), opt.Stats, em)
-	a := em.Finish(p.Name, "lzw", len(out), p.SizeBytes())
-	if err := a.Check(); err != nil {
-		return nil, err
-	}
-	return a, nil
 }

@@ -165,17 +165,27 @@ func NewForProgram(p *program.Program) (*CPU, error) {
 	if err := mem.Map("text", p.TextBase, WordsToBytes(p.Text)); err != nil {
 		return nil, err
 	}
-	data := make([]byte, len(p.Data)+heapExtra)
-	copy(data, p.Data)
-	if err := mem.Map("data", p.DataBase, data); err != nil {
+	fe := NewNormalFrontend(mem, p.TextBase, len(p.Text))
+	return NewGuest(mem, fe, p.DataBase, p.Data, p.EntryAddr())
+}
+
+// NewGuest completes a machine over fe with the one guest memory layout
+// every fetch path shares: it maps a copy of data plus heapExtra bytes of
+// slack at dataBase and a stackSize-byte stack ending at stackTop into mem
+// (after any text the caller mapped), positions fe at entry, sets the
+// stack pointer, and snapshots that state for Reset, so fe must report its
+// PC as SnapshotReset requires.
+func NewGuest(mem *Memory, fe Frontend, dataBase uint32, data []byte, entry uint32) (*CPU, error) {
+	buf := make([]byte, len(data)+heapExtra)
+	copy(buf, data)
+	if err := mem.Map("data", dataBase, buf); err != nil {
 		return nil, err
 	}
 	if err := mem.Map("stack", stackTop-stackSize, make([]byte, stackSize)); err != nil {
 		return nil, err
 	}
-	fe := NewNormalFrontend(mem, p.TextBase, len(p.Text))
 	cpu := New(mem, fe)
-	if err := fe.Reset(p.EntryAddr()); err != nil {
+	if err := fe.Reset(entry); err != nil {
 		return nil, err
 	}
 	cpu.GPR[1] = stackTop - 64 // stack pointer with a red zone

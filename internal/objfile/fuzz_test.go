@@ -5,11 +5,12 @@ import (
 	"testing"
 
 	"repro/internal/codec"
+	"repro/internal/codecs"
 	"repro/internal/machine"
 	"repro/internal/synth"
 )
 
-// FuzzCodecRoundTrip drives every registered codec over fuzzer-shaped
+// FuzzCodecRoundTrip drives every codec in the table over fuzzer-shaped
 // synthetic programs: compress, verify, serialize through the versioned
 // frame, reopen from nothing but the method byte, and — for executable
 // codecs — differentially execute the reopened image against the native
@@ -44,35 +45,35 @@ func FuzzCodecRoundTrip(f *testing.F) {
 		}
 		nativeOut := native.Output()
 
-		for _, cd := range codec.Codecs() {
+		for _, cd := range codecs.All() {
 			img, err := cd.Compress(p, codec.Options{})
 			if err != nil {
-				t.Fatalf("%s: compress: %v", cd.Name(), err)
+				t.Fatalf("%s: compress: %v", cd.Name, err)
 			}
-			if err := cd.Verify(p, img); err != nil {
-				t.Fatalf("%s: verify: %v", cd.Name(), err)
+			if err := img.Verify(p); err != nil {
+				t.Fatalf("%s: verify: %v", cd.Name, err)
 			}
 
 			var frame bytes.Buffer
 			if err := WriteImage(&frame, img); err != nil {
-				t.Fatalf("%s: write frame: %v", cd.Name(), err)
+				t.Fatalf("%s: write frame: %v", cd.Name, err)
 			}
 			got, err := OpenImage(bytes.NewReader(frame.Bytes()))
 			if err != nil {
-				t.Fatalf("%s: reopen: %v", cd.Name(), err)
+				t.Fatalf("%s: reopen: %v", cd.Name, err)
 			}
-			if got.Method() != cd.Method() {
-				t.Fatalf("%s: reopened method %#x, want %#x", cd.Name(), got.Method(), cd.Method())
+			if got.Method() != cd.Method {
+				t.Fatalf("%s: reopened method %#x, want %#x", cd.Name, got.Method(), cd.Method)
 			}
 			var before, after bytes.Buffer
-			if err := cd.WriteImage(&before, img); err != nil {
+			if err := img.WritePayload(&before); err != nil {
 				t.Fatal(err)
 			}
-			if err := cd.WriteImage(&after, got); err != nil {
+			if err := got.WritePayload(&after); err != nil {
 				t.Fatal(err)
 			}
 			if !bytes.Equal(before.Bytes(), after.Bytes()) {
-				t.Fatalf("%s: payload drifted across a serialize/reopen cycle", cd.Name())
+				t.Fatalf("%s: payload drifted across a serialize/reopen cycle", cd.Name)
 			}
 
 			ex, ok := got.(codec.Executable)
@@ -81,18 +82,18 @@ func FuzzCodecRoundTrip(f *testing.F) {
 			}
 			cpu, err := ex.NewMachine()
 			if err != nil {
-				t.Fatalf("%s: new machine: %v", cd.Name(), err)
+				t.Fatalf("%s: new machine: %v", cd.Name, err)
 			}
 			status, err := cpu.Run(maxSteps)
 			if err != nil {
-				t.Fatalf("%s: compressed run: %v", cd.Name(), err)
+				t.Fatalf("%s: compressed run: %v", cd.Name, err)
 			}
 			if status != nativeStatus {
-				t.Fatalf("%s: exit status %d, native %d", cd.Name(), status, nativeStatus)
+				t.Fatalf("%s: exit status %d, native %d", cd.Name, status, nativeStatus)
 			}
 			if !bytes.Equal(cpu.Output(), nativeOut) {
 				t.Fatalf("%s: output diverged from native (%d vs %d bytes)",
-					cd.Name(), len(cpu.Output()), len(nativeOut))
+					cd.Name, len(cpu.Output()), len(nativeOut))
 			}
 		}
 	})

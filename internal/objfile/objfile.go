@@ -7,7 +7,7 @@
 //
 //	"PPCZ" 0xFF version=2 method payload...
 //
-// where method is the codec registry's stable frame byte and the payload
+// where method is the codec table's stable frame byte and the payload
 // is that codec's image serialization, so any tool can open any image
 // without being told its encoding. Any other byte after the magic —
 // including the headerless version-1 layout, which no writer produces any
@@ -21,7 +21,7 @@ import (
 	"io"
 
 	"repro/internal/codec"
-	_ "repro/internal/codecs" // populate the registry for OpenImage
+	"repro/internal/codecs"
 	"repro/internal/core"
 	"repro/internal/dictionary"
 	"repro/internal/program"
@@ -182,14 +182,10 @@ func ReadDictionary(src io.Reader) ([]dictionary.Entry, error) {
 	return out, nil
 }
 
-// WriteImage serializes a compressed image of any registered codec as a
+// WriteImage serializes a compressed image of any codec as a
 // current-version self-describing frame: the method byte in the header is
 // all a reader needs to reconstruct the image.
 func WriteImage(dst io.Writer, img codec.Image) error {
-	c, err := codec.ByMethod(img.Method())
-	if err != nil {
-		return fmt.Errorf("objfile: %w", err)
-	}
 	bw := bufio.NewWriter(dst)
 	w := wire.NewWriter(bw)
 	w.Bytes(magicImage[:])
@@ -199,7 +195,7 @@ func WriteImage(dst io.Writer, img codec.Image) error {
 	if err := w.Err(); err != nil {
 		return err
 	}
-	if err := c.WriteImage(bw, img); err != nil {
+	if err := img.WritePayload(bw); err != nil {
 		return err
 	}
 	return bw.Flush()
@@ -232,7 +228,7 @@ func OpenImage(src io.Reader) (codec.Image, error) {
 	if err != nil {
 		return nil, fmt.Errorf("objfile: truncated image frame: %w", err)
 	}
-	c, err := codec.ByMethod(codec.Method(method))
+	c, err := codecs.ByMethod(codec.Method(method))
 	if err != nil {
 		return nil, fmt.Errorf("objfile: %w", err)
 	}

@@ -8,6 +8,7 @@ import (
 	"testing"
 
 	"repro/internal/codec"
+	"repro/internal/codecs"
 	"repro/internal/codeword"
 	"repro/internal/core"
 	"repro/internal/huffman"
@@ -159,7 +160,7 @@ func TestImageV1Rejected(t *testing.T) {
 		t.Fatal(err)
 	}
 	v1 := bytes.NewBufferString("PPCZ")
-	if err := core.WriteImagePayload(v1, img); err != nil {
+	if err := img.WritePayload(v1); err != nil {
 		t.Fatal(err)
 	}
 	if _, err := OpenImage(bytes.NewReader(v1.Bytes())); !errors.Is(err, ErrUnsupportedFrame) {
@@ -235,7 +236,7 @@ func TestCCRPShortLineRejected(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	cd, err := codec.ByName("ccrp")
+	cd, err := codecs.ByName("ccrp")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -272,7 +273,7 @@ func TestNonDictionaryImageRoundTrip(t *testing.T) {
 		t.Fatal(err)
 	}
 	for _, name := range []string{"ccrp", "lzw"} {
-		cd, err := codec.ByName(name)
+		cd, err := codecs.ByName(name)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -288,14 +289,14 @@ func TestNonDictionaryImageRoundTrip(t *testing.T) {
 		if err != nil {
 			t.Fatalf("%s: open: %v", name, err)
 		}
-		if got.Method() != cd.Method() {
-			t.Fatalf("%s: reopened method %#x, want %#x", name, got.Method(), cd.Method())
+		if got.Method() != cd.Method {
+			t.Fatalf("%s: reopened method %#x, want %#x", name, got.Method(), cd.Method)
 		}
 		var before, after bytes.Buffer
-		if err := cd.WriteImage(&before, img); err != nil {
+		if err := img.WritePayload(&before); err != nil {
 			t.Fatal(err)
 		}
-		if err := cd.WriteImage(&after, got); err != nil {
+		if err := got.WritePayload(&after); err != nil {
 			t.Fatal(err)
 		}
 		if !bytes.Equal(before.Bytes(), after.Bytes()) {

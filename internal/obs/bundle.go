@@ -44,7 +44,7 @@ type Identity struct {
 	Bench string `json:"bench"`
 
 	// Codec is the canonical codec name ("nibble", "ccrp", …) or "native"
-	// for an uncompressed run; Method is its registry frame byte.
+	// for an uncompressed run; Method is its codec-table frame byte.
 	Codec  string `json:"codec,omitempty"`
 	Method uint8  `json:"method,omitempty"`
 
